@@ -191,11 +191,6 @@ class OdpCoordinator:
         # is missing.
         self._stale.add(key)
         self._stale_by_qpn[qpn] = self._stale_by_qpn.get(qpn, 0) + 1
-        ac = self.rnic.arraycore
-        if ac is not None:
-            slot = ac.slot_of.get(qpn)
-            if slot is not None:
-                ac.col("stale")[slot] = True
         self.client_faults += 1
         # Per-QP resolution: multi-tenant cells install strategies on a
         # tenant's QPs, not the device, so the fault-feedback signal
@@ -247,7 +242,6 @@ class OdpCoordinator:
         if ac is not None:
             slot = ac.slot_of.get(key[0])
             if slot is not None:
-                ac.col("stale")[slot] = key[0] in self._stale_by_qpn
                 ac.col("page_gen")[slot] = self._view_gen
         fresh.resolve(key[2])
 
@@ -328,14 +322,12 @@ class OdpCoordinator:
         """Mark the range warm for the given QPs, modelling earlier
         traffic that already populated both the translation table and
         the per-QP status views (e.g. prior job stages)."""
+        handle = mr.handle
         for page in mr.pages_of_range(addr, size):
             mr.vm._restore_or_materialise(page)  # noqa: SLF001
             self.rnic.translation.map_page(mr, page)
-            for qpn in qpns:
-                key = (qpn, mr.handle, page)
-                self._view.add(key)
-                self._view_by_page.setdefault((mr.handle, page),
-                                              set()).add(qpn)
+            self._view.update((qpn, handle, page) for qpn in qpns)
+            self._view_by_page.setdefault((handle, page), set()).update(qpns)
         self._bump_view_gen()
         self._stamp_page_gen(qpns)
 
@@ -380,18 +372,17 @@ class OdpCoordinator:
         """Distinct QPs with at least one stale page view."""
         return len(self._stale_by_qpn)
 
-    def retransmit_load(self) -> int:
+    def retransmit_load(self, cap: int) -> int:
         """Retransmission pressure: outstanding READ window summed over
         stale QPs (feeds the status engine's congestion law).
 
-        With the array core enabled this is one vectorized reduction
-        over the device's QP table instead of an O(stale QPs) object
-        walk *per status-engine service* — the dominant cost of deep
-        floods (O(QPs^2) over a run) on the object path.
+        The walk stops once the sum reaches ``cap``: the congestion law
+        clamps its load to the backlog cap, so a partial sum at or past
+        it gives the same service cost as the full one.  Deep floods
+        have hundreds of stale QPs and are capped on almost every
+        service, so this bounds the walk per service by the cap instead
+        of the stale-QP count.
         """
-        ac = self.rnic.arraycore
-        if ac is not None:
-            return ac.retransmit_load()
         load = 0
         qps = self.rnic._qps  # noqa: SLF001 - same device
         for qpn in self._stale_by_qpn:
@@ -400,14 +391,15 @@ class OdpCoordinator:
                 continue
             # len(requester.wqes) is the ``outstanding`` property,
             # inlined: this runs once per status-engine service, over
-            # every stale QP, in deep floods.
+            # the stale QPs, in deep floods.
             pending = len(qp.requester.wqes)
             # send_window() inlined (strategy BDP bound over the verbs
-            # depth); BDP-bounded strategies are arraycore-incompatible,
-            # so this object walk is the only path that sees them.
-            cap = qp.attrs.max_rd_atomic
+            # depth).
+            window = qp.attrs.max_rd_atomic
             m = qp.mitigation
-            if m is not None and m.bdp_packets and m.bdp_packets < cap:
-                cap = m.bdp_packets
-            load += pending if pending < cap else cap
+            if m is not None and m.bdp_packets and m.bdp_packets < window:
+                window = m.bdp_packets
+            load += pending if pending < window else window
+            if load >= cap:
+                break
         return load

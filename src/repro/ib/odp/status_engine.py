@@ -55,8 +55,10 @@ class PageStatusEngine:
         #: congestion law would otherwise have charged for.
         self.bypasses = 0
         #: Supplied by the RNIC: current retransmission pressure
-        #: (outstanding READs summed over stale QPs).
-        self.load_fn: Callable[[], int] = lambda: 0
+        #: (outstanding READs summed over stale QPs).  Called with the
+        #: backlog cap; it may stop summing once it reaches the cap,
+        #: since :meth:`service_cost_ns` clamps the load to it anyway.
+        self.load_fn: Callable[[int], int] = lambda cap: 0
         #: Fired on every fault (enqueue) and resolve (completion)
         #: transition; the ODP coordinator wires this to its translation/
         #: view range-cache invalidation so memoised readiness verdicts
@@ -124,7 +126,12 @@ class PageStatusEngine:
             return
         self._busy = True
         item = self._stack.pop()  # LIFO: newest first
-        load = max(len(self._stack) + 1, self.load_fn())
+        # service_cost_ns only sees min(load, cap): once the backlog
+        # alone reaches the cap, the retransmit pressure cannot matter.
+        load = len(self._stack) + 1
+        cap = self.profile.status_backlog_cap
+        if load < cap:
+            load = max(load, self.load_fn(cap))
         cost = self.service_cost_ns(load)
         self._next_complete_at = self.sim.now + cost
         self.sim.schedule(cost, self._complete, item)

@@ -89,9 +89,9 @@ class Rnic:
         #: rebuilt by ``to_reset`` stay instrumented.
         self.telemetry = None
         #: Array-native hot core (``enable_arraycore``): dense per-QP
-        #: transport state that turns O(QPs) aggregate walks into
-        #: vectorized reductions.  None = pure object core; a single
-        #: None check is the entire disabled-mode cost.
+        #: transport state that the storm coalescer's fleet sweeps scan
+        #: in bulk.  None = pure object core; a single None check is
+        #: the entire disabled-mode cost.
         self.arraycore = None
 
     # ------------------------------------------------------------------
@@ -110,16 +110,14 @@ class Rnic:
 
         Idempotent.  Existing QPs are registered immediately; QPs
         created later register themselves in ``QueuePair.__init__``.
-        Per-QP aggregate walks (``OdpCoordinator.retransmit_load``)
-        dispatch to the table from the next query on, and the storm
-        coalescer's fleet fast-forward (armed fabric-side by
+        The storm coalescer's fleet fast-forward (armed fabric-side by
         ``Network.enable_bulk``) requires the table for its batched
         eligibility scans.
         """
         if self.arraycore is None:
             from repro.ib.transport.arraycore import ArrayCore
             self.arraycore = ArrayCore(
-                self, capacity=max(capacity, 2 * len(self._qps), 1))
+                capacity=max(capacity, 2 * len(self._qps), 1))
             for qp in self._qps.values():
                 qp.ac_slot = self.arraycore.register(qp)
         return self.arraycore

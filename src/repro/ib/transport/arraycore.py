@@ -1,30 +1,29 @@
 """Array-native hot core: vectorized per-QP transport state.
 
-At fabric scale (1k-16k QPs) the flood experiments spend most of their
-wall-clock not in packet handlers but in *per-QP bookkeeping that is
-O(QPs) per event*: the page-status engine re-derives its congestion load
-by walking every stale QP's send queue on every service (
-
-    ``OdpCoordinator.retransmit_load`` — O(stale QPs) per status-engine
-    completion, hence O(QPs^2) over a flood run
-
-), and each blind-retransmit tick pays the object-model cost of its
-round.  Real RNICs do not box per-QP state: PSN/window/timer state lives
-in dense per-QP context tables that the pipeline reads as arrays (the
-IRN line of work models hardware the same way, and NP-RDMA's
+At fabric scale (1k-16k QPs) the flood experiments spend much of their
+wall-clock in the object-model cost of *having that many QPs*: each
+blind-retransmit tick walks QP/requester/responder attribute chains and
+re-arms a timer object for a round that is identical across the whole
+stale fleet.  Real RNICs do not box per-QP state: PSN/window/timer state
+lives in dense per-QP context tables that the pipeline reads as arrays
+(the IRN line of work models hardware the same way, and NP-RDMA's
 page-presence bitmaps are the ODP analogue).
 
 :class:`ArrayCore` is that table for this simulator: one preallocated
 numpy structured array per RNIC holding every QP's transport state —
 expected/next PSN, MSN, retry counters, timer deadlines, the RNR budget,
-the page-readiness generation, the stale flag and the outstanding-window
-columns.  The requester/responder/ODP-coordinator objects stay the
-behavioural source of truth on the per-packet slow path and write
-through to their row at each mutation point; aggregate queries that the
-object model answers by iteration (``retransmit_load``,
-``stale_qp_count``) become single vectorized reductions, and the storm
-fast-forward timeline math (:func:`cascade_times`) becomes closed-form
-`numpy` recurrences over whole delivery batches.
+the page-readiness generation and the requester state.  The
+requester/responder/ODP-coordinator objects stay the behavioural source
+of truth on the per-packet slow path and write through to their row at
+each mutation point; the storm coalescer's fleet sweeps read and write
+the deadline columns in bulk, and the fast-forward timeline math
+(:func:`cascade_times`) becomes closed-form `numpy` recurrences over
+whole delivery batches.
+
+The status engine's congestion load is *not* a table reduction: the
+coordinator's object walk stops at the backlog cap
+(``OdpCoordinator.retransmit_load``), which bounds it per service
+without a mirrored column.
 
 The object model remains the *observer view*: :meth:`ArrayCore.view`
 materializes a per-QP dict lazily from the row (nothing is computed for
@@ -35,12 +34,9 @@ enforce.
 Exactness contract
 ------------------
 
-Every reduction here must return *exactly* what the object-path walk
-returns — the arrays are int64/int32/bool, all arithmetic is integral,
-and the write-through points mirror the object mutations one for one.
-``audit=True`` makes :meth:`retransmit_load` recompute the object-path
-answer on every call and raise on divergence (used by the tests; too
-slow to leave on at 16k QPs).
+Every value here must be *exactly* what the object path holds — the
+arrays are int64/int32, all arithmetic is integral, and the
+write-through points mirror the object mutations one for one.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ib.rnic import Rnic
     from repro.ib.verbs.qp import QueuePair
 
 #: Requester state codes (see ``repro.ib.transport.requester``).
@@ -61,7 +56,7 @@ NO_DEADLINE = -1
 
 #: One row per QP.  int64 everywhere a simulated timestamp or PSN can
 #: land; the narrow columns are bounded by the IB spec (3-bit retry
-#: fields, initiator depth).
+#: fields).
 QP_DTYPE = np.dtype([
     ("qpn", np.int64),
     ("expected_psn", np.int64),    # responder ePSN
@@ -73,27 +68,18 @@ QP_DTYPE = np.dtype([
     ("timer_deadline", np.int64),  # transport ACK timer expiry
     ("blind_deadline", np.int64),  # next blind-retransmit tick
     ("page_gen", np.int64),        # page-readiness generation stamp
-    ("pending", np.int32),         # len(requester.wqes)
-    ("window_cap", np.int32),      # attrs.max_rd_atomic
     ("state", np.int8),            # requester state code
-    ("stale", np.bool_),           # >= 1 stale page view (flood member)
 ])
 
 
 class ArrayCore:
-    """Per-RNIC dense QP state table with vectorized reductions."""
+    """Per-RNIC dense QP state table."""
 
-    def __init__(self, rnic: "Rnic", capacity: int = 256):
-        self.rnic = rnic
+    def __init__(self, capacity: int = 256):
         self.slot_of: Dict[int, int] = {}
         self._n = 0
         self._table = np.zeros(max(1, capacity), dtype=QP_DTYPE)
         self._rebind()
-        #: cross-check every vectorized reduction against the object
-        #: walk (tests only; defeats the point at scale).
-        self.audit = False
-        #: reductions served / audit mismatches (cheap introspection).
-        self.load_queries = 0
 
     # ------------------------------------------------------------------
     # Registration / lifecycle
@@ -109,10 +95,6 @@ class ArrayCore:
         """
         self._cols: Dict[str, np.ndarray] = {
             name: self._table[name] for name in QP_DTYPE.names}
-        #: reusable output buffer for :meth:`retransmit_load` — the
-        #: reduction runs once per status-engine service, and a fresh
-        #: allocation per call is measurable in deep floods.
-        self._load_scratch = np.empty(len(self._table), dtype=np.int32)
 
     def __len__(self) -> int:
         return self._n
@@ -151,11 +133,7 @@ class ArrayCore:
             req.rnr_retries_used if qp.attrs.rnr_retry != 7 else 0)
         cols["timer_deadline"][slot] = NO_DEADLINE
         cols["blind_deadline"][slot] = NO_DEADLINE
-        cols["pending"][slot] = len(req.wqes)
-        cols["window_cap"][slot] = qp.attrs.max_rd_atomic
         cols["state"][slot] = STATE_CODES[req.state]
-        cols["stale"][slot] = \
-            qp.qpn in self.rnic.odp._stale_by_qpn  # noqa: SLF001
 
     def sync_hot(self, qp: "QueuePair") -> None:
         """Write-through of every field a packet-handler chain can move.
@@ -179,62 +157,15 @@ class ArrayCore:
         rnr_retry = qp.attrs.rnr_retry
         cols["rnr_budget"][slot] = rnr_retry - (
             rnr_used if rnr_retry != 7 else 0)
-        cols["pending"][slot] = len(req.wqes)
         cols["state"][slot] = STATE_CODES[req.state]
 
     # Column accessors: the write-through sites index these directly
-    # (``ac.col("pending")[slot] = n`` — one dict hit against the
+    # (``ac.col("page_gen")[slot] = n`` — one dict hit against the
     # cached views; ``_rebind`` keeps them valid across growth).
 
     def col(self, name: str) -> np.ndarray:
         """The named column (full capacity; index by slot)."""
         return self._cols[name]
-
-    # ------------------------------------------------------------------
-    # Vectorized reductions (the object model answers these by walking
-    # every QP; the table answers them in one C-level pass)
-    # ------------------------------------------------------------------
-
-    def retransmit_load(self) -> int:
-        """Outstanding READ window summed over stale QPs — the status
-        engine's congestion-law input, exactly as
-        ``OdpCoordinator.retransmit_load`` computes it by iteration."""
-        self.load_queries += 1
-        n = self._n
-        cols = self._cols
-        stale = cols["stale"][:n]
-        pending = cols["pending"][:n]
-        cap = cols["window_cap"][:n]
-        out = self._load_scratch[:n]
-        np.minimum(pending, cap, out=out)
-        # dot-with-mask is the fastest masked sum numpy offers here
-        # (~5x over a ``where=`` reduction); the result is bounded by
-        # QPs * initiator depth, far inside int32.
-        load = int(np.dot(out, stale))
-        if self.audit:
-            expect = self._object_path_load()
-            if load != expect:
-                raise AssertionError(
-                    f"arraycore retransmit_load diverged: table {load} "
-                    f"!= object walk {expect}")
-        return load
-
-    def _object_path_load(self) -> int:
-        """The object-model walk (audit reference, never the hot path)."""
-        load = 0
-        qps = self.rnic._qps  # noqa: SLF001 - same device
-        for qpn in self.rnic.odp._stale_by_qpn:  # noqa: SLF001
-            qp = qps.get(qpn)
-            if qp is None:
-                continue
-            pending = len(qp.requester.wqes)
-            cap = qp.attrs.max_rd_atomic
-            load += pending if pending < cap else cap
-        return load
-
-    def stale_qp_count(self) -> int:
-        """Distinct QPs with at least one stale page view."""
-        return int(np.count_nonzero(self._cols["stale"][:self._n]))
 
     # ------------------------------------------------------------------
     # Observer view (lazy materialization of the object-model shape)
@@ -265,10 +196,7 @@ class ArrayCore:
             "msn": resp.msn,
             "retry_used": req.retry_used,
             "rnr_retries_used": req.rnr_retries_used,
-            "pending": len(req.wqes),
-            "window_cap": qp.attrs.max_rd_atomic,
             "state": req.state,
-            "stale": qp.qpn in self.rnic.odp._stale_by_qpn,  # noqa: SLF001
         }
         return [f"{name}: table {got[name]!r} != object {value!r}"
                 for name, value in expect.items() if got[name] != value]

@@ -80,10 +80,15 @@ class Future:
 
 
 def all_of(futures: Sequence[Future], label: str = "all_of") -> Future:
-    """Return a future that resolves (with a list of results) once every
-    input future has resolved.  An empty sequence resolves immediately.
+    """Return a future that resolves (with a list of results, in input
+    order) once every input future has resolved.  An empty sequence
+    resolves immediately.
 
-    If any input fails, the aggregate fails with the first exception.
+    If any input fails, the aggregate fails with the exception of the
+    first child to fail: first in resolution order, or first in list
+    order when children have already failed at call time.  Later
+    failures or successes change nothing.  Each resolution costs O(1):
+    only the child that just resolved is inspected.
     """
     aggregate = Future(label)
     remaining = len(futures)
@@ -91,15 +96,15 @@ def all_of(futures: Sequence[Future], label: str = "all_of") -> Future:
         aggregate.resolve([])
         return aggregate
 
-    def on_done(_: Future) -> None:
+    def on_done(child: Future) -> None:
         nonlocal remaining
         if aggregate.done:
             return
-        remaining -= 1
-        failed = next((f for f in futures if f.done and f.exception), None)
-        if failed is not None:
-            aggregate.fail(failed.exception)  # type: ignore[arg-type]
+        exc = child.exception
+        if exc is not None:
+            aggregate.fail(exc)
             return
+        remaining -= 1
         if remaining == 0:
             aggregate.resolve([f.result for f in futures])
 

@@ -1,4 +1,4 @@
-"""Array-native hot core: bit-identity, fleet batching, and reductions.
+"""Array-native hot core: bit-identity, fleet batching, and the load walk.
 
 The contract mirrors the storm coalescer's *exact or decline*: a run
 with ``arraycore=True`` must report every metric bit-identical to the
@@ -6,8 +6,8 @@ object-path run — the structured-array mirror and the fleet
 batched-delivery sweeps only change wall clock.  These tests enforce
 that on Figure 4- and Figure 9-shaped workloads (every ODP mode),
 verify the fleet and its seeded sweeps actually engage on flood shapes,
-audit the vectorized reductions against the object walk, and pin the
-RNG-stream identity the sweep's inlined jitter relies on.
+check the status engine's capped load walk against the uncapped one,
+and pin the RNG-stream identity the sweep's inlined jitter relies on.
 """
 
 import dataclasses
@@ -136,21 +136,45 @@ class TestArrayTable:
                 checked += 1
         assert checked == 20
 
-    def test_retransmit_load_audit_mode(self):
-        """audit=True recomputes the object walk on every reduction and
-        raises on divergence; a clean flood is the assertion."""
-        clusters = []
+    def test_capped_load_matches_uncapped_walk(self):
+        """The status engine's load walk stops at the backlog cap (and
+        is skipped once the backlog alone reaches it).  On a Fig 9-shaped
+        client-ODP flood deep enough for the cap to bind, a twin run
+        whose load_fn returns the full uncapped walk must price every
+        service identically and report identical metrics.  The array
+        core is on: that configuration used to read the load from a
+        table reduction instead of the walk."""
+        services = []
 
-        def arm_audit(cluster):
-            clusters.append(cluster)
+        def uncapped(cluster):
             for node in cluster.nodes:
-                node.rnic.enable_arraycore(capacity=4)
-                node.rnic.arraycore.audit = True
+                engine = node.rnic.status_engine
+                walk = node.rnic.odp.retransmit_load
 
-        run_microbench(_flood_config(True, num_qps=10, num_ops=128),
-                       on_cluster=arm_audit)
-        core = clusters[0].nodes[0].rnic.arraycore
-        assert core.load_queries > 0
+                def load_fn(cap, engine=engine, walk=walk):
+                    full = walk(1 << 62)
+                    capped = walk(cap)
+                    # _serve_next has popped the item in service but
+                    # still counts it: backlog == len(stack) + 1.
+                    base = engine.backlog
+                    services.append((
+                        engine.service_cost_ns(max(base, full)),
+                        engine.service_cost_ns(max(base, capped)),
+                        max(base, full) > cap))
+                    return full
+
+                engine.load_fn = load_fn
+
+        config = dataclasses.replace(
+            _flood_config(True, num_qps=256, num_ops=2048), max_rd_atomic=8)
+        reference = run_microbench(config, on_cluster=uncapped)
+        capped = run_microbench(config)
+        assert services
+        assert all(full == part for full, part, _ in services)
+        assert sum(bound for _, _, bound in services) > len(services) // 4
+        # Every Figure 9 column (execution time, packets, timeouts,
+        # blind retransmits) is part of this surface.
+        assert _metrics(reference) == _metrics(capped)
 
     def test_table_grows_past_capacity(self):
         """enable_arraycore(capacity=1) must transparently grow while
@@ -176,7 +200,7 @@ class TestArrayTable:
         qpn = next(iter(core.slot_of))
         view = core.view(qpn)
         assert view["qpn"] == qpn
-        assert isinstance(view["pending"], int)
+        assert isinstance(view["next_psn"], int)
         assert view["state"] in ("normal", "rnr_wait", "odp_wait")
 
 

@@ -201,6 +201,73 @@ class TestFuture:
         assert agg.done
         assert isinstance(agg.exception, RuntimeError)
 
+    def test_all_of_work_is_linear_in_children(self):
+        """Each resolution inspects only the child that resolved: N
+        children cost O(N) reads of ``done``/``exception`` in total,
+        not a rescan of every sibling per completion (O(N^2))."""
+        reads = [0]
+
+        class CountingFuture(Future):
+            __slots__ = ()
+
+            @property
+            def done(self):
+                reads[0] += 1
+                return Future.done.fget(self)
+
+            @property
+            def exception(self):
+                reads[0] += 1
+                return Future.exception.fget(self)
+
+        n = 2000
+        futures = [CountingFuture(str(i)) for i in range(n)]
+        agg = all_of(futures)
+        for i, future in enumerate(futures):
+            future.resolve(i)
+        assert agg.result == list(range(n))
+        assert reads[0] <= 4 * n
+
+    def test_all_of_results_in_input_order(self):
+        futures = [Future(str(i)) for i in range(5)]
+        agg = all_of(futures)
+        for i in reversed(range(5)):
+            futures[i].resolve(i * 10)
+        assert agg.result == [0, 10, 20, 30, 40]
+
+    def test_all_of_fails_with_first_child_to_fail(self):
+        futures = [Future(), Future(), Future()]
+        agg = all_of(futures)
+        second = ValueError("second")
+        futures[2].fail(second)
+        assert agg.exception is second
+        futures[0].fail(KeyError("later"))
+        assert agg.exception is second
+
+    def test_all_of_already_failed_children_use_list_order(self):
+        """Children that failed before the call: the first failed one
+        in list order wins, whatever order they failed in."""
+        done_ok, pending, early, first = Future(), Future(), Future(), \
+            Future()
+        done_ok.resolve("v")
+        early_exc, first_exc = KeyError("early"), ValueError("first")
+        early.fail(early_exc)
+        first.fail(first_exc)
+        agg = all_of([done_ok, pending, first, early])
+        assert agg.done
+        assert agg.exception is first_exc
+
+    def test_all_of_ignores_resolutions_after_failure(self):
+        futures = [Future(), Future(), Future()]
+        agg = all_of(futures)
+        boom = RuntimeError("boom")
+        futures[1].fail(boom)
+        futures[0].fail(RuntimeError("second failure"))
+        futures[2].resolve("late success")
+        assert agg.exception is boom
+        with pytest.raises(RuntimeError, match="boom"):
+            _ = agg.result
+
 
 class TestProcess:
     def test_sleep_and_return(self):
