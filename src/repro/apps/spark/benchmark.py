@@ -51,7 +51,7 @@ def _run_once(cell: SparkCell, odp_enabled: bool, seed: int,
               cold_pages: Optional[int] = None,
               fetches: Optional[int] = None,
               num_rounds: Optional[int] = None,
-              arraycore: bool = False, coalesce: Optional[bool] = None,
+              coalesce: Optional[bool] = None,
               record_completions: bool = False,
               telemetry=None) -> Dict[str, object]:
     """Run one ODP-on-or-off job and return its measured surfaces.
@@ -67,8 +67,7 @@ def _run_once(cell: SparkCell, odp_enabled: bool, seed: int,
     cluster = SparkCluster(workers=cell.workers,
                            total_qps=cell.qps if total_qps is None
                            else total_qps,
-                           env=env, seed=seed, arraycore=arraycore,
-                           coalesce=coalesce,
+                           env=env, seed=seed, coalesce=coalesce,
                            record_completions=record_completions)
     if telemetry is not None:
         telemetry.attach(cluster.fabric)

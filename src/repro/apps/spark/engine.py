@@ -87,9 +87,9 @@ class SparkWorker:
 class SparkCluster:
     """Workers plus the fabric, QPs and the job driver.
 
-    ``arraycore``/``coalesce`` route the transport hot path through the
-    scale tier (:mod:`repro.ib.transport.arraycore`, bulk fabric
-    booking) under its exact-or-decline contract — simulated results are
+    ``coalesce`` (None keeps the device default) routes storm rounds
+    through the storm coalescer (:mod:`repro.ib.transport.coalesce`)
+    under its exact-or-decline contract — simulated results are
     bit-identical either way (tested); only wall-clock changes.
     ``record_completions`` captures every work completion as
     ``(wr_id, completed_at, status)`` in :attr:`completions`, the
@@ -99,7 +99,7 @@ class SparkCluster:
     def __init__(self, workers: int = 2, total_qps: int = 64,
                  device: str = "ConnectX-4",
                  env: Optional[Dict[str, str]] = None, seed: int = 0,
-                 arraycore: bool = False, coalesce: Optional[bool] = None,
+                 coalesce: Optional[bool] = None,
                  record_completions: bool = False):
         if workers < 2:
             raise ValueError("shuffles need at least two workers")
@@ -129,11 +129,6 @@ class SparkCluster:
         if coalesce is not None:
             for node in self.fabric.nodes:
                 node.rnic.coalesce = bool(coalesce)
-        if arraycore:
-            capacity = 2 * max(1, total_qps) + 8
-            for node in self.fabric.nodes:
-                node.rnic.enable_arraycore(capacity=capacity)
-            self.fabric.network.enable_bulk()
         if record_completions:
             for worker in self.workers:
                 self._record_cq(worker.ucx)

@@ -12,9 +12,8 @@ buys two things:
 * **scale** — ``python -m repro tab13 --qps 10240 --shards 4`` runs a
   10k-QP cell, far past the monolithic ceiling;
 * **speed** — even at one shard, G small simulators beat one giant one
-  (the event heap, status engine and arraycore tables all scale
-  super-linearly with QP count; ``BENCH_tab13.json`` pins the
-  decomposition speedup).
+  (the event heap and status engine scale super-linearly with QP
+  count; ``BENCH_tab13.json`` pins the decomposition speedup).
 
 The flood *fit* happens once at fleet scale: ``cold_pages_per_round``
 inverts the paper's measured stall into a cold-page budget for the
@@ -60,8 +59,8 @@ class SparkFleetConfig:
     paper-fitted stall calibrate the run; ``qps`` overrides the cell's
     QP count (the whole point); ``num_groups`` is the fan-out;
     ``scale`` divides the fitted cold-page budget for test-sized runs
-    (1 = the real fit).  ``arraycore``/``coalesce`` default on — the
-    fleet path exists for scale, and both are bit-identical knobs.
+    (1 = the real fit).  ``coalesce`` defaults on — the fleet path
+    exists for scale, and it is a bit-identical knob.
     """
 
     workload: str = "SparkTC"
@@ -71,7 +70,6 @@ class SparkFleetConfig:
     shards: int = 1
     seed: int = 0
     scale: int = 1
-    arraycore: bool = True
     coalesce: bool = True
     telemetry: Any = field(default=None, compare=False, repr=False)
 
@@ -182,7 +180,6 @@ def _run_spark_group(spec: GroupSpec, base_config: SparkFleetConfig,
     # Distinct private streams per group *and* per phase: 2s / 2s+1
     # never collide across groups (group seeds are consecutive).
     knobs = dict(total_qps=spec.num_qps, cold_pages=cold, fetches=fetches,
-                 arraycore=base_config.arraycore,
                  coalesce=base_config.coalesce)
     disable = _run_once(cell, odp_enabled=False, seed=2 * spec.seed,
                         telemetry=telemetry, **knobs)

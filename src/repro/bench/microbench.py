@@ -95,25 +95,20 @@ class MicrobenchConfig:
     #: posting loop spaces operations by this much, which determines how
     #: far apart two posts to the *same* QP land when many QPs are used.
     post_overhead_ns: int = 300
-    #: Steady-state storm coalescing: fast-forward provably-periodic
-    #: retransmission rounds as macro-events.  Exact by construction —
-    #: every reported metric is bit-identical with it off — so it
-    #: defaults on; it self-disables per QP pair whenever a capture tap
-    #: or loss rule is armed for that traffic.
+    #: Steady-state storm coalescing, the one fast-path knob:
+    #: fast-forward provably-periodic retransmission rounds as
+    #: macro-events (blind, joint and RNR rounds, plus fleet sweeps of
+    #: whole tick horizons when ``integrity`` is off).  Exact by
+    #: construction — every reported metric is bit-identical with it
+    #: off, which is the per-packet reference path — so it defaults on;
+    #: it self-disables per QP pair whenever a capture tap or loss rule
+    #: is armed for that traffic.
     coalesce: bool = True
-    #: Array-native hot core: mirror per-QP transport state into
-    #: preallocated numpy arrays (vectorized retransmit-load reductions)
-    #: and fast-forward whole fleets of provably-quiet retransmission
-    #: rounds through the fabric's closed-form batched-delivery path.
-    #: Exact by construction — every reported metric is bit-identical
-    #: with it off — but it defaults off so the object path stays the
-    #: reference executor and numpy stays optional.
-    arraycore: bool = False
     #: ODP-pitfall countermeasure strategy, by registry name (see
     #: :mod:`repro.mitigate`).  ``"none"`` (the default) resolves to no
     #: strategy object at all and is bit-identical to the baseline.  A
-    #: strategy incompatible with the coalescer/arraycore fast paths
-    #: declines them to the scalar path with a tally in the result's
+    #: strategy incompatible with the coalescer's fast paths declines
+    #: them to the per-packet path with a tally in the result's
     #: ``mitigation_fallbacks`` — never a silent behaviour change.
     mitigation: str = "none"
     #: Fleet decomposition: run the workload as this many independent
@@ -179,9 +174,8 @@ class MicrobenchResult:
     #: bit-identical.
     coalesced_rounds: int = 0
     events_coalesced: int = 0
-    #: Fast paths the mitigation strategy declined (``"arraycore"``: the
-    #: table was requested but the strategy is incompatible;
-    #: ``"coalesce"``: rounds the coalescer declined for the strategy).
+    #: Fast paths the mitigation strategy declined (``"coalesce"``:
+    #: rounds the coalescer declined for the strategy).
     #: Execution-shape bookkeeping like ``coalesced_rounds`` — not a
     #: reported metric, and legitimately differs across fast-path knobs
     #: while everything above is bit-identical.
@@ -246,21 +240,10 @@ def run_microbench(config: MicrobenchConfig,
         node.rnic.coalesce = config.coalesce
     from repro.mitigate import resolve_strategy
     strategy = resolve_strategy(config.mitigation)
-    fallbacks: Dict[str, int] = {}
     if strategy is not None:
         # Installed before QP creation: QPs snapshot the device default.
         for node in cluster.nodes:
             node.rnic.mitigation = strategy
-    use_arraycore = config.arraycore
-    if use_arraycore and strategy is not None \
-            and not strategy.arraycore_compatible:
-        # Decline the fast path, tallied — never silently change results.
-        use_arraycore = False
-        fallbacks["arraycore"] = 1
-    if use_arraycore:
-        for node in cluster.nodes:
-            node.rnic.enable_arraycore(capacity=2 * config.num_qps + 4)
-        cluster.network.enable_bulk()
 
     client_rnic = client_node.rnic
     server_rnic = server_node.rnic
@@ -370,8 +353,7 @@ def run_microbench(config: MicrobenchConfig,
 
     declined = sum(qp.coalescer.decline_reasons.get("mitigation", 0)
                    for qp in client_qps)
-    if declined:
-        fallbacks["coalesce"] = declined
+    fallbacks = {"coalesce": declined} if declined else {}
     timeouts = sum(qp.requester.timeouts for qp in client_qps)
     errors = sum(1 for _wr, _t, status in completions if status.is_error)
     integrity_errors = 0

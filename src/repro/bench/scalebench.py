@@ -1,45 +1,37 @@
-"""Scale benchmark: the array-native hot core at 1k/4k/16k QPs.
+"""Scale benchmark: the storm coalescer at 1k/4k/16k QPs.
 
 The fig09 flood grid tops out at a few hundred QPs; real ODP incidents
 (Section VII's deployment anecdotes) involve fabrics with thousands of
-stale QPs storming at once.  At that scale the per-object engine spends
-its time on Python attribute traffic: every retransmission round walks
-QP/requester/responder objects, and every delivered packet is a chain
-of heap events.  The array-native core
-(:mod:`repro.ib.transport.arraycore`) mirrors per-QP transport state
-into preallocated numpy structured arrays and fast-forwards whole
-fleets of provably-quiet retransmission rounds through the fabric's
-bulk-delivery surfaces (``Link.bulk_occupy``, ``Switch.bulk_forward``,
-``Network.bulk_book``) — under the same *exact or decline* contract as
-storm coalescing: every reported metric stays bit-identical to the
-object path, enforced here on every workload.
+stale QPs storming at once.  At that scale the per-packet engine spends
+its time replaying identical retransmission rounds one heap event per
+hop.  The storm coalescer (:mod:`repro.ib.transport.coalesce`) applies
+those rounds in closed form — single-QP, joint and RNR rounds, and
+fleet sweeps of whole tick horizons through the fabric's bulk-delivery
+surfaces (``Link.bulk_occupy``, ``Switch.bulk_forward``,
+``Network.bulk_book``) — under an *exact or decline* contract: every
+reported metric stays bit-identical to the per-packet path, enforced
+here on every workload.
 
 Each classic workload is a window-1 client-ODP flood
 (``max_rd_atomic=1``, the shape Section VI-B's retransmission analysis
-reasons about) measured in four modes::
+reasons about) measured in two modes::
 
-    object          per-QP objects, per-round storm replay off
-    object_coalesce per-QP objects + closed-form storm coalescing (PR 5)
-    array           array mirror + fleet batched delivery
-    array_coalesce  both layers composed
+    object    coalescing off: the per-packet reference path
+    coalesce  every storm fast path on
+
+and ``speedup`` is ``wall(object) / wall(coalesce)``.
 
 The ``*_shard`` workloads (and the 64k-QP headline row) run the same
 flood as a **fleet**: ``num_groups`` independent client/server QP
 groups executed through the shard layer
 (:mod:`repro.experiments.shard`) at each listed shard count, always
-with both fast-forward layers on.  ``shardsN`` rows must be
-bit-identical to each other (the ``shards1`` row is the in-process
-reference), and ``decomposition_speedup`` compares the best shard wall
-against the same run's classic ``array_coalesce`` wall at equal QP/op
-counts — the wall-clock value of decomposing one big simulator into
-many small ones (per-op cost grows superlinearly with fleet size) plus
-whatever true parallelism the machine offers.
-
-``coalesce_ratio`` is the satellite gate for stacking the storm
-coalescer on the array core: the *paired* per-repeat ratio
-``wall(array_coalesce) / wall(array)``, minimum over repeats, which
-cancels machine drift that independent best-of-N walls cannot.  The
-check fails when it exceeds :data:`COALESCE_RATIO_CEILING`.
+with coalescing on.  ``shardsN`` rows must be bit-identical to each
+other (the ``shards1`` row is the in-process reference), and
+``decomposition_speedup`` compares the best shard wall against the same
+run's classic ``coalesce`` wall at equal QP/op counts — the wall-clock
+value of decomposing one big simulator into many small ones (per-op
+cost grows superlinearly with fleet size) plus whatever true
+parallelism the machine offers.
 
 Run ``python -m repro.bench.scalebench`` from the repo root; it writes
 ``BENCH_scale.json`` (see the README's Performance section).  Use
@@ -49,10 +41,10 @@ and 4 shards: bit-identity + wall ceiling), ``--shards N`` to measure
 a specific worker count, ``--check BENCH_scale.json`` to fail when a
 freshly measured speedup regresses more than 30% below the committed
 report (speedup ratios are machine-independent; raw wall-clock seconds
-are not), when any workload breaks bit-identity, or when the paired
-coalesce ratio exceeds its ceiling, and ``--max-wall SECONDS`` to
-enforce an absolute wall-clock ceiling on each workload's fastest
-measured accelerated mode (the CI smoke gates).
+are not) or when any workload breaks bit-identity, and
+``--max-wall SECONDS`` to enforce an absolute wall-clock ceiling on
+each workload's fastest measured accelerated mode (the CI smoke
+gates).
 """
 
 from __future__ import annotations
@@ -66,12 +58,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 
-#: Mode name -> (coalesce, arraycore).
+#: Mode name -> coalesce.
 _MODES = (
-    ("object", False, False),
-    ("object_coalesce", True, False),
-    ("array", False, True),
-    ("array_coalesce", True, True),
+    ("object", False),
+    ("coalesce", True),
 )
 
 #: The flood points: 4 ops per QP keeps every QP stale for the whole
@@ -91,7 +81,7 @@ _WORKLOADS = {
 #: counts measured (the first is the bit-identity reference —
 #: ``shard_counts[0] == 1`` keeps the in-process path as reference).
 #: ``pair_reference`` names the classic workload whose
-#: ``array_coalesce`` wall anchors ``decomposition_speedup`` — same
+#: ``coalesce`` wall anchors ``decomposition_speedup`` — same
 #: total QPs and ops, one monolithic simulator instead of a fleet.
 #: The 64k headline row has no classic twin: a single-process 64k-QP
 #: object run costs tens of minutes, which is exactly the ceiling the
@@ -111,15 +101,7 @@ _SHARD_WORKLOADS = {
                    pair_reference=None),
 }
 
-#: Paired-ratio ceiling for stacking coalescing on the array core: the
-#: per-repeat ratio ``wall(array_coalesce) / wall(array)`` may not
-#: exceed this at any fleet size (with the arraycore-first early-out in
-#: ``StormCoalescer._peer`` the two modes execute identical instruction
-#: streams, so anything past measurement jitter is a regression).
-COALESCE_RATIO_CEILING = 1.05
-
-
-def _flood_config(coalesce: bool, arraycore: bool, num_qps: int,
+def _flood_config(coalesce: bool, num_qps: int,
                   num_ops: int) -> MicrobenchConfig:
     """A window-1 client-ODP flood point.
 
@@ -131,7 +113,7 @@ def _flood_config(coalesce: bool, arraycore: bool, num_qps: int,
     return MicrobenchConfig(size=400, num_ops=num_ops, num_qps=num_qps,
                             interval_us=0.0, odp=OdpSetup.CLIENT,
                             integrity=False, seed=50, max_rd_atomic=1,
-                            coalesce=coalesce, arraycore=arraycore)
+                            coalesce=coalesce)
 
 
 def _metrics(result) -> Dict[str, Any]:
@@ -155,24 +137,23 @@ def _scale_point(num_qps: int, num_ops: int, repeats: int,
     slow machine phases (thermal, scheduler) hit all modes alike, with
     the mode order reversed on odd repeats (ABBA): a fixed order always
     taxes whichever mode runs last with the drift the repeat
-    accumulated, which at small fleets is the same few percent as the
-    array/array_coalesce gap itself.  The bit-identity comparison uses
+    accumulated.  The bit-identity comparison uses
     the full metric surface of each mode's last run against the
     ``object`` reference.
     """
     point: Dict[str, Any] = {"num_qps": num_qps, "num_ops": num_ops}
-    walls: Dict[str, List[float]] = {name: [] for name, _c, _a in modes}
+    walls: Dict[str, List[float]] = {name: [] for name, _c in modes}
     surfaces: Dict[str, Dict[str, Any]] = {}
     for rep in range(repeats):
         order = modes if rep % 2 == 0 else tuple(reversed(modes))
-        for name, coalesce, arraycore in order:
-            cfg = _flood_config(coalesce, arraycore, num_qps, num_ops)
+        for name, coalesce in order:
+            cfg = _flood_config(coalesce, num_qps, num_ops)
             started = time.perf_counter()
             result = run_microbench(cfg)
             walls[name].append(time.perf_counter() - started)
             surfaces[name] = _metrics(result)
     reference = surfaces[modes[0][0]]
-    for name, _coalesce, _arraycore in modes:
+    for name, _coalesce in modes:
         point[name] = {
             "wall_s": round(min(walls[name]), 4),
             "bit_identical": surfaces[name] == reference,
@@ -180,21 +161,10 @@ def _scale_point(num_qps: int, num_ops: int, repeats: int,
     point["total_packets"] = reference["total_packets"]
     point["execution_time_ns"] = reference["execution_time_ns"]
     point["bit_identical"] = all(point[name]["bit_identical"]
-                                 for name, _c, _a in modes)
-    if "array" in point and "object" in point:
+                                 for name, _c in modes)
+    if "coalesce" in point and "object" in point:
         point["speedup"] = round(point["object"]["wall_s"]
-                                 / point["array"]["wall_s"], 2)
-    if "array_coalesce" in point and "object_coalesce" in point:
-        point["speedup_coalesce"] = round(
-            point["object_coalesce"]["wall_s"]
-            / point["array_coalesce"]["wall_s"], 2)
-    if walls.get("array") and walls.get("array_coalesce"):
-        # Paired per-repeat ratio: same repeat, adjacent runs, so the
-        # machine drift that makes independent best-of-N walls cross
-        # over at small fleets cancels out of the quotient.
-        point["coalesce_ratio"] = round(
-            min(ac / a for a, ac in zip(walls["array"],
-                                        walls["array_coalesce"])), 3)
+                                 / point["coalesce"]["wall_s"], 2)
     return point
 
 
@@ -202,15 +172,14 @@ def _shard_point(num_qps: int, num_ops: int, num_groups: int,
                  shard_counts, repeats: int) -> Dict[str, Any]:
     """Wall-clock one fleet point at every shard count.
 
-    Both fast-forward layers stay on (each shard keeps its own storm
-    coalescer and array core); the bit-identity comparison runs the
-    full metric surface of every shard count against the first listed
-    count — with ``shard_counts[0] == 1`` that is the in-process
-    single-shard reference the ISSUE's merge contract is stated
-    against.
+    Coalescing stays on (each shard keeps its own storm coalescers);
+    the bit-identity comparison runs the full metric surface of every
+    shard count against the first listed count — with
+    ``shard_counts[0] == 1`` that is the in-process single-shard
+    reference the merge contract is stated against.
     """
     base = dataclasses.replace(
-        _flood_config(True, True, num_qps, num_ops),
+        _flood_config(True, num_qps, num_ops),
         num_groups=num_groups)
     point: Dict[str, Any] = {"num_qps": num_qps, "num_ops": num_ops,
                              "num_groups": num_groups}
@@ -271,11 +240,11 @@ def run_bench(smoke: bool, shard_smoke: bool = False,
             spec["shard_counts"] = (1, shards) if shards != 1 else (1,)
         point = _shard_point(**spec)
         reference = workloads.get(pair_reference) if pair_reference else None
-        if reference is not None and "array_coalesce" in reference:
+        if reference is not None and "coalesce" in reference:
             best = min(point[f"shards{count}"]["wall_s"]
                        for count in spec["shard_counts"])
             point["decomposition_speedup"] = round(
-                reference["array_coalesce"]["wall_s"] / best, 2)
+                reference["coalesce"]["wall_s"] / best, 2)
         workloads[name] = point
     return workloads
 
@@ -290,8 +259,7 @@ def check_report(report: Dict[str, Any], committed_path: str,
                  tolerance: float = 0.7) -> List[str]:
     """Regression gate: compare ``report`` to the committed baseline.
 
-    Bit-identity must hold in the measured report, the paired coalesce
-    ratio must stay under :data:`COALESCE_RATIO_CEILING`, and speedup
+    Bit-identity must hold in the measured report, and speedup
     ratios (machine-independent) are compared per shared workload and
     fail below ``tolerance`` x the committed value.  Every finding is
     collected and reported per workload and per key — mismatched
@@ -321,12 +289,6 @@ def check_report(report: Dict[str, Any], committed_path: str,
                          else "the object reference")
             failures.append(f"workload {name}: accelerated-mode metrics "
                             f"diverge from {reference}")
-        ratio = point.get("coalesce_ratio")
-        if ratio is not None and ratio > COALESCE_RATIO_CEILING:
-            failures.append(
-                f"workload {name}: paired array_coalesce/array wall "
-                f"ratio {ratio} exceeds {COALESCE_RATIO_CEILING} — "
-                "stacking coalescing on the array core lost wall clock")
         baseline = baseline_workloads.get(name)
         if baseline is None:
             continue
@@ -337,8 +299,7 @@ def check_report(report: Dict[str, Any], committed_path: str,
                 f"workload {name}: mode keys differ from the baseline "
                 f"(missing from this run: {missing_modes or '[]'}; "
                 f"unknown to the baseline: {extra_modes or '[]'})")
-        for key in ("speedup", "speedup_coalesce",
-                    "decomposition_speedup"):
+        for key in ("speedup", "decomposition_speedup"):
             if (key in point) != (key in baseline):
                 side = "this run" if key in baseline else "the baseline"
                 failures.append(f"workload {name}: {key} is missing from "
@@ -362,8 +323,8 @@ def check_report(report: Dict[str, Any], committed_path: str,
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="scalebench",
-        description="Benchmark the array-native hot core against the "
-                    "object-path engine at 1k/4k/16k QPs and write "
+        description="Benchmark the storm coalescer against the "
+                    "per-packet engine at 1k/4k/16k QPs and write "
                     "BENCH_scale.json.")
     parser.add_argument("--smoke", action="store_true",
                         help="run only the 1k-QP classic and fleet "
@@ -381,9 +342,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="output path (default: ./BENCH_scale.json)")
     parser.add_argument("--check", metavar="BASELINE", default=None,
                         help="compare against a committed report; exit 1 "
-                             "on >30%% speedup regression, broken "
-                             "bit-identity, or a paired coalesce ratio "
-                             "above the ceiling")
+                             "on >30%% speedup regression or broken "
+                             "bit-identity")
     parser.add_argument("--max-wall", type=float, metavar="SECONDS",
                         default=None,
                         help="fail when any workload's fastest "
@@ -421,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[str] = []
     for name, point in report["workloads"].items():
         # Bit-identity is non-negotiable whatever flags ran: a fleet
-        # merge or array mode that diverges from its reference must
+        # merge or coalesced mode that diverges from its reference must
         # fail even without --check.
         if not point.get("bit_identical", False):
             failures.append(f"workload {name}: accelerated-mode metrics "
@@ -432,7 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         if f not in seen and "diverge" not in f)
     if args.max_wall is not None:
         for name, point in report["workloads"].items():
-            accelerated = _mode_keys(point) - {"object", "object_coalesce"}
+            accelerated = _mode_keys(point) - {"object"}
             if not accelerated:
                 continue
             wall = min(point[key]["wall_s"] for key in accelerated)

@@ -11,8 +11,9 @@ cluster's QP count.  The fleet path
 
 * **decomposition** — G small simulators beat one giant one even on a
   single core (``decomposition_speedup`` compares the best fleet wall
-  against the same cell run monolithically with the array core and
-  storm coalescing on: the *unsharded array+coalesce path*);
+  against the same cell run monolithically with storm coalescing on,
+  the *unsharded coalesced path*, recorded under the
+  ``array_coalesce`` key the committed baseline was written with);
 * **parallelism** — groups pack into shard worker processes, which
   helps exactly as much as the machine has cores to give.
 
@@ -78,7 +79,7 @@ def _fleet_point(qps: int, num_groups: int, shard_counts,
 
     The monolithic baseline runs the *same* fleet path at
     ``num_groups=1`` — one group owning every QP and the whole fitted
-    cold-page budget, array core and storm coalescing on — so
+    cold-page budget, storm coalescing on — so
     ``decomposition_speedup`` isolates exactly what splitting buys.
     (A one-group fleet is the classic single-cluster run; the fleet
     numbers themselves are defined over per-group streams and form

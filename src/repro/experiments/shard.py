@@ -2,12 +2,12 @@
 
 The paper's worst pitfalls only bite at fleet scale (the tab13 Spark
 degradation, fig09's flood at thousands of stale QPs), but one Python
-process is a hard ceiling however vectorised the hot core is.  This
-module adds the tier above :mod:`repro.ib.transport.arraycore`: a fleet
+process is a hard ceiling however fast its storm fast paths are.  This
+module adds the tier above :mod:`repro.ib.transport.coalesce`: a fleet
 workload is *partitioned into QP-group shards* — client/server pairs
 that provably never share a link-arbitration dependency — and each
-shard runs as a full :class:`~repro.sim.engine.Simulator` +
-``ArrayCore`` instance in a worker process.  The partial results are
+shard runs as a full :class:`~repro.sim.engine.Simulator` instance in
+a worker process.  The partial results are
 then merged **deterministically**: counters summed in canonical key
 order, completions and capture rows k-way merged by
 ``(timestamp, lid, qpn, serial)``-equivalent keys, telemetry

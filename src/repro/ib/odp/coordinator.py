@@ -238,11 +238,6 @@ class OdpCoordinator:
                               "odp.fault_resolved", self.rnic.lid, key[0],
                               key[2])
         self._bump_view_gen()  # resolve transition: cached "not ready"
-        ac = self.rnic.arraycore  # verdicts for this QP/page are now stale
-        if ac is not None:
-            slot = ac.slot_of.get(key[0])
-            if slot is not None:
-                ac.col("page_gen")[slot] = self._view_gen
         fresh.resolve(key[2])
 
     # ------------------------------------------------------------------
@@ -329,7 +324,6 @@ class OdpCoordinator:
             self._view.update((qpn, handle, page) for qpn in qpns)
             self._view_by_page.setdefault((handle, page), set()).update(qpns)
         self._bump_view_gen()
-        self._stamp_page_gen(qpns)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -343,18 +337,6 @@ class OdpCoordinator:
         for qpn in qpns:
             self._view.discard((qpn, mr.handle, page))
         self._bump_view_gen()  # cached "ready" verdicts are now stale
-        self._stamp_page_gen(qpns)
-
-    def _stamp_page_gen(self, qpns) -> None:
-        """Write the new view generation through to the affected rows."""
-        ac = self.rnic.arraycore
-        if ac is None:
-            return
-        page_gen = ac.col("page_gen")
-        for qpn in qpns:
-            slot = ac.slot_of.get(qpn)
-            if slot is not None:
-                page_gen[slot] = self._view_gen
 
     # ------------------------------------------------------------------
 

@@ -46,18 +46,20 @@ class Rnic:
         #: *sizes* are what the wire model consumes); integrity checks
         #: need real bytes, so tests leave this False.
         self.lazy_payloads = False
-        #: Steady-state storm coalescing: allow this device's QPs to
-        #: fast-forward provably-periodic retransmission rounds as
-        #: macro-events (both ends must allow it).  Exact by
-        #: construction — a round is synthesised only when every one of
-        #: its packets takes a known path and nothing can interleave —
-        #: so metrics are bit-identical either way.
+        #: Steady-state storm coalescing, the one fast-path knob: allow
+        #: this device's QPs to fast-forward provably-periodic
+        #: retransmission rounds as macro-events — single-QP blind
+        #: rounds, joint multi-QP rounds, RNR rounds and fleet sweeps
+        #: (both ends must allow it).  Exact by construction — a round
+        #: is synthesised only when every one of its packets takes a
+        #: known path and nothing can interleave — so metrics are
+        #: bit-identical either way.
         self.coalesce = True
         #: Active ODP-pitfall countermeasure
         #: (:class:`repro.mitigate.MitigationStrategy`) or None for the
         #: baseline.  QPs snapshot it at creation; None keeps every hot
-        #: path a single ``is None`` check (the telemetry/arraycore
-        #: idiom), which is the ``strategy=none`` bit-identity story.
+        #: path a single ``is None`` check (the telemetry idiom), which
+        #: is the ``strategy=none`` bit-identity story.
         self.mitigation = None
         self._qps: Dict[int, "QueuePair"] = {}
         self._next_qpn = 0x40
@@ -88,11 +90,6 @@ class Rnic:
         #: single None check is the entire disabled-mode cost and QPs
         #: rebuilt by ``to_reset`` stay instrumented.
         self.telemetry = None
-        #: Array-native hot core (``enable_arraycore``): dense per-QP
-        #: transport state that the storm coalescer's fleet sweeps scan
-        #: in bulk.  None = pure object core; a single None check is
-        #: the entire disabled-mode cost.
-        self.arraycore = None
 
     # ------------------------------------------------------------------
     # Tables
@@ -104,23 +101,6 @@ class Rnic:
         self._next_qpn += 1
         self._qps[qpn] = qp
         return qpn
-
-    def enable_arraycore(self, capacity: int = 256):
-        """Switch this device to the array-native hot core.
-
-        Idempotent.  Existing QPs are registered immediately; QPs
-        created later register themselves in ``QueuePair.__init__``.
-        The storm coalescer's fleet fast-forward (armed fabric-side by
-        ``Network.enable_bulk``) requires the table for its batched
-        eligibility scans.
-        """
-        if self.arraycore is None:
-            from repro.ib.transport.arraycore import ArrayCore
-            self.arraycore = ArrayCore(
-                capacity=max(capacity, 2 * len(self._qps), 1))
-            for qp in self._qps.values():
-                qp.ac_slot = self.arraycore.register(qp)
-        return self.arraycore
 
     def register_mr(self, mr: "MemoryRegion") -> None:
         """Make an MR reachable by its rkey."""

@@ -49,6 +49,13 @@ touching the fabric arithmetic at all; any mismatch falls back to the
 full derivation.  This is what makes a coalesced round an order of
 magnitude cheaper than its per-packet replay rather than merely
 cheaper.
+
+``RNIC.coalesce`` is the one switch for every tier: single-QP blind
+rounds, joint multi-QP rounds, RNR rounds and fleet sweeps
+(:meth:`StormCoalescer.maybe_fleet`), which absorb a whole horizon of
+sibling blind ticks in one batched flush when payloads are lazy and no
+observer watches the pair.  Off, every round takes the per-packet
+reference path.
 """
 
 from __future__ import annotations
@@ -75,17 +82,6 @@ _NAK_WIRE = BASE_HEADER_BYTES + AETH_BYTES
 #: Events a packet costs on the per-packet path: tx drain, uplink
 #: arrival, switch forward, downlink arrival, rx dispatch.
 _EVENTS_PER_PACKET = 5
-
-# Vectorized cascade arithmetic (array-native hot core): numpy prefix
-# sums beat the scalar scan once a batch is large enough to amortise
-# array setup; below the threshold (solo rounds are <= the READ window)
-# the Python loop wins.  Gated so the object core never needs numpy.
-try:
-    from repro.ib.transport.arraycore import cascade_times as _cascade_times
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _cascade_times = None
-
-_VECTOR_MIN = 64
 
 #: Requester state constants, resolved once on first use: the requester
 #: module imports this one, so a top-level import would be circular, and
@@ -186,7 +182,7 @@ class StormCoalescer:
         #: at topology build and never replaced, so the lookup is pure.
         self._links_cache: Optional[Tuple] = None
         #: Set when a seeded fleet sweep absorbed the currently firing
-        #: tick itself (round, re-arm draw, deadline write-through):
+        #: tick itself (round, re-arm draw, wheel re-arm):
         #: ``_blind_retransmit`` consumes it and skips its own tail.
         self._self_swept = False
         #: Ticks of this QP absorbed as sweep seeds (diagnostics, like
@@ -228,20 +224,11 @@ class StormCoalescer:
         and no observer forces this pair onto the per-packet path."""
         qp = self.qp
         rnic = qp.rnic
-        # Either fast-forward machinery enables macro-events: the PR 3
-        # coalesce flag or the array-native hot core (both synthesise
-        # the identical closed form, so mixing modes stays exact).
-        # Arraycore tests first: when it is armed, both coalesce
-        # settings short-circuit after one attribute load, so stacking
-        # the coalesce flag on the array core costs nothing per call at
-        # any fleet scale (scalebench gates the paired ratio).
-        if rnic.arraycore is None and not rnic.coalesce:
+        if not rnic.coalesce:
             return None
         network = rnic.network
         peer_rnic = network.devices.get(qp.remote_lid)
-        if peer_rnic is None or (
-                getattr(peer_rnic, "arraycore", None) is None
-                and not getattr(peer_rnic, "coalesce", False)):
+        if peer_rnic is None or not getattr(peer_rnic, "coalesce", False):
             return None
         if network.requires_real(rnic.lid, qp.remote_lid):
             return None
@@ -301,15 +288,7 @@ class StormCoalescer:
         using its own cached 8 ns-quantised :meth:`serialization_ns`,
         the switch adds its cut-through latency, and the receiver's rx
         pipeline delay lands the dispatch.
-
-        Large batches (joint rounds, deep windows) dispatch to the
-        vectorized closed form in ``arraycore.cascade_times`` — the same
-        integer recurrences as prefix-sum/running-max array operations,
-        bit-identical by construction (and by test).
         """
-        if _cascade_times is not None and len(enq) >= _VECTOR_MIN:
-            return _cascade_times(enq, wires, tx_ns, up, down,
-                                  forward_ns, rx_ns)
         drains: List[int] = []
         dispatches: List[int] = []
         busy_up = up._busy_until  # noqa: SLF001 - closed-form replay
@@ -898,10 +877,14 @@ class StormCoalescer:
         """
         qp = self.qp
         rnic = qp.rnic
-        if rnic.arraycore is None:
+        if not rnic.coalesce or rnic.telemetry is not None:
             return False
         network = rnic.network
-        if not network.fleet_allowed(rnic.lid, qp.remote_lid):
+        remote_lid = qp.remote_lid
+        peer_rnic = network.devices.get(remote_lid)
+        if peer_rnic is None or not peer_rnic.lazy_payloads \
+                or not getattr(peer_rnic, "coalesce", False) \
+                or not network.fleet_allowed(rnic.lid, remote_lid):
             return False
         STATE_NORMAL, STATE_ODP_WAIT = _requester_states()
         sim = self.sim
@@ -919,18 +902,10 @@ class StormCoalescer:
         next_transition = rnic.odp.next_transition_at()
         if next_transition is not None and next_transition <= horizon:
             horizon = next_transition - 1
-        peer_rnic = network.devices.get(qp.remote_lid)
-        if peer_rnic is not None:
-            next_transition = peer_rnic.odp.next_transition_at()
-            if next_transition is not None and next_transition <= horizon:
-                horizon = next_transition - 1
-        if horizon <= sim.now or rnic.telemetry is not None:
-            return False
-        remote_lid = qp.remote_lid
-        peer_rnic = network.devices.get(remote_lid)
-        if peer_rnic is None or not peer_rnic.lazy_payloads or not (
-                getattr(peer_rnic, "coalesce", False)
-                or getattr(peer_rnic, "arraycore", None) is not None):
+        next_transition = peer_rnic.odp.next_transition_at()
+        if next_transition is not None and next_transition <= horizon:
+            horizon = next_transition - 1
+        if horizon <= sim.now:
             return False
         # Pre-classify the horizon's ready batch: collect the blind
         # ticks, skip provably inert fault-raise timers (they stay
@@ -999,7 +974,6 @@ class StormCoalescer:
         width = 2 * spread + 1
         jbits = width.bit_length()
         getrandbits = sim.rng.getrandbits
-        deadline_col = rnic.arraycore.col("blind_deadline")
         range_ready = odp.requester_range_ready
         # ``Simulator.timer_at`` inlined for the re-arm loop: fresh
         # sequence number, wheel residency, live-event accounting — the
@@ -1073,7 +1047,7 @@ class StormCoalescer:
             self.blind_rounds += 1
             # The tick's tail, replayed here so the sweep owns the whole
             # event body: period draw (real stream position — before any
-            # member's), wheel re-arm, deadline write-through.
+            # member's) and wheel re-arm.
             if spread > 0:
                 r = getrandbits(jbits)
                 while r >= width:
@@ -1089,7 +1063,6 @@ class StormCoalescer:
             sim._pending += 1  # noqa: SLF001
             wheel_insert(rearm, now_i)
             req._blind_timer = rearm  # noqa: SLF001
-            deadline_col[qp.ac_slot] = deadline
             if deadline <= limit:
                 insort(worklist, (deadline, seq, rearm))
             shape = c.shape_key
@@ -1216,7 +1189,6 @@ class StormCoalescer:
             sim._pending += 1  # noqa: SLF001
             wheel_insert(rearm, now_i)
             req._blind_timer = rearm  # noqa: SLF001
-            deadline_col[member.ac_slot] = deadline
             if deadline <= limit:
                 insort(worklist, (deadline, seq, rearm))
             absorbed += 1
@@ -1794,7 +1766,6 @@ class StormCoalescer:
                            profile.rnr_delay_jitter)
         req._rnr_timer = sim.schedule_timer(  # noqa: SLF001
             nak_at + delay - t, req._rnr_recover)  # noqa: SLF001
-        req._ac_deadline("timer_deadline", nak_at + delay)  # noqa: SLF001
         req_bytes = count * _REQ_WIRE
         port_a = network.stats[rnic.lid]
         port_b = network.stats[peer_rnic.lid]

@@ -36,11 +36,6 @@ STATE_NORMAL = "normal"
 STATE_RNR_WAIT = "rnr_wait"
 STATE_ODP_WAIT = "odp_wait"
 
-#: "no deadline armed" for the array-core timer columns (must match
-#: ``repro.ib.transport.arraycore.NO_DEADLINE``; kept local so the
-#: object core never imports numpy).
-_NO_DEADLINE = -1
-
 
 class Wqe:
     """A send-queue element: one work request plus transport bookkeeping."""
@@ -106,28 +101,6 @@ class Requester:
         self.local_faults = 0
 
     # ------------------------------------------------------------------
-    # Array-core write-through
-    # ------------------------------------------------------------------
-
-    def _ac_sync(self) -> None:
-        """Write this QP's hot row through to the RNIC's array core.
-
-        Called at the end of every entry point that can mutate tracked
-        state and is not already covered by the per-packet write-through
-        in ``QueuePair.handle_packet`` (posts, timer callbacks, error
-        flushes).  One None check is the entire object-core cost.
-        """
-        ac = self.qp.rnic.arraycore
-        if ac is not None:
-            ac.sync_hot(self.qp)
-
-    def _ac_deadline(self, column: str, deadline: int) -> None:
-        """Write an armed/cleared timer deadline through to the table."""
-        ac = self.qp.rnic.arraycore
-        if ac is not None:
-            ac.col(column)[self.qp.ac_slot] = deadline
-
-    # ------------------------------------------------------------------
     # Posting
     # ------------------------------------------------------------------
 
@@ -156,7 +129,6 @@ class Requester:
         self.qp.rnic.note_qp_active(self.qp)
         self._pump()
         self._ensure_timer()
-        self._ac_sync()
 
     @property
     def outstanding(self) -> int:
@@ -508,9 +480,6 @@ class Requester:
         base = profile.actual_rnr_delay_ns(configured)
         delay = self.sim.jitter(base, profile.rnr_delay_jitter)
         self._rnr_timer = self.sim.schedule_timer(delay, self._rnr_recover)
-        # In RNR_WAIT the transport timer is disarmed, so the column
-        # tracks the recovery deadline instead.
-        self._ac_deadline("timer_deadline", self.sim.now + delay)
 
     def _rnr_recover(self) -> None:
         if self.state != STATE_RNR_WAIT:
@@ -523,11 +492,9 @@ class Requester:
             tel.instant(self.sim.now, "storm.rnr_round", self.qp.rnic.lid,
                         self.qp.qpn, self.rnr_naks_received)
         if self.qp.coalescer.coalesce_rnr_round():
-            self._ac_sync()
             return  # the whole replay->NAK->RNR_WAIT cycle was synthesised
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
-        self._ac_sync()
 
     # ------------------------------------------------------------------
     # Client-side ODP wait
@@ -560,7 +527,6 @@ class Requester:
             # fresh through this QP's own wait registration.
             self._retransmit_from_oldest()
             self._ensure_timer(rearm=True)
-            self._ac_sync()
 
     def _enter_odp_wait(self, wqe: Wqe, from_send_side: bool) -> None:
         if self.state == STATE_NORMAL:
@@ -576,8 +542,6 @@ class Requester:
             period = self._blind_period_ns()
             self._blind_timer = self.sim.schedule_timer(
                 period, self._blind_retransmit)
-            self._ac_deadline("blind_deadline", self.sim.now + period)
-        self._ac_sync()
 
     def _blind_period_ns(self) -> int:
         """Blind retransmission period: ~0.5 ms when lightly loaded,
@@ -612,7 +576,6 @@ class Requester:
         period = self._blind_period_ns()
         self._blind_timer = self.sim.schedule_timer(period,
                                                     self._blind_retransmit)
-        self._ac_deadline("blind_deadline", self.sim.now + period)
         # After the re-arm (and its RNG draw, in real order): sweep the
         # upcoming horizon of sibling ticks through the batched path.
         coalescer.maybe_fleet()
@@ -631,10 +594,8 @@ class Requester:
         if self._blind_timer is not None:
             self._blind_timer.cancel()
             self._blind_timer = None
-            self._ac_deadline("blind_deadline", _NO_DEADLINE)
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
-        self._ac_sync()
 
     def _head_ready(self) -> bool:
         if not self.wqes:
@@ -683,13 +644,11 @@ class Requester:
         self._timer_armed_at = self.sim.now
         self._timer = self.sim.schedule_timer(duration, self._on_timer,
                                               self._progress_stamp)
-        self._ac_deadline("timer_deadline", self.sim.now + duration)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-            self._ac_deadline("timer_deadline", _NO_DEADLINE)
 
     def _sample_timeout(self) -> int:
         profile = self.qp.rnic.profile
@@ -727,7 +686,6 @@ class Requester:
             return
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
-        self._ac_sync()
 
     # ------------------------------------------------------------------
     # Errors
@@ -745,8 +703,6 @@ class Requester:
         if self._fault_raise_timer is not None:
             self._fault_raise_timer.cancel()
             self._fault_raise_timer = None
-        self._ac_deadline("timer_deadline", _NO_DEADLINE)
-        self._ac_deadline("blind_deadline", _NO_DEADLINE)
 
     def flush_on_error(self) -> None:
         """ERROR-state entry: flush the send queue with WR_FLUSH_ERR.
@@ -760,7 +716,6 @@ class Requester:
         wqes, self.wqes = self.wqes, []
         for wqe in wqes:
             self._complete_wqe(wqe, WcStatus.WR_FLUSH_ERR)
-        self._ac_sync()
 
     def _fatal(self, status: WcStatus) -> None:
         """Abort: error CQE for the head, flush the rest, QP to ERROR."""
@@ -772,4 +727,3 @@ class Requester:
                 self._complete_wqe(wqe, WcStatus.WR_FLUSH_ERR)
         self.qp.enter_error()
         self.qp.rnic.note_qp_idle(self.qp)
-        self._ac_sync()

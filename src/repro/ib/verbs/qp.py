@@ -92,11 +92,6 @@ class QueuePair:
         self.requester = Requester(self)
         self.responder = Responder(self)
         self.coalescer = StormCoalescer(self)
-        #: row index in the RNIC's :class:`ArrayCore` table (None while
-        #: the device runs pure object-core).
-        self.ac_slot: Optional[int] = None
-        if self.rnic.arraycore is not None:
-            self.ac_slot = self.rnic.arraycore.register(self)
         self.rnic.note_qp_created(self)
 
     # ------------------------------------------------------------------
@@ -132,8 +127,6 @@ class QueuePair:
         self.remote_lid = remote.lid
         self.remote_qpn = remote.qpn
         self.responder.epsn = remote.psn
-        if self.rnic.arraycore is not None:
-            self.rnic.arraycore.sync_row(self)
         self._transition(QpState.RTR)
         self._transition(QpState.RTS)
 
@@ -165,10 +158,6 @@ class QueuePair:
         self.requester = Requester(self)
         self.responder = Responder(self)
         self.coalescer = StormCoalescer(self)
-        if self.rnic.arraycore is not None:
-            # The fresh incarnation starts from a clean row (deadlines
-            # cleared, counters zero, new PSNs).
-            self.ac_slot = self.rnic.arraycore.register(self)
         self.rnic.note_qp_idle(self)
         self._transition(QpState.RESET)
 
@@ -187,8 +176,6 @@ class QueuePair:
         self.remote_lid = remote.lid
         self.remote_qpn = remote.qpn
         self.responder.epsn = remote.psn
-        if self.rnic.arraycore is not None:
-            self.rnic.arraycore.sync_row(self)
         self._transition(QpState.RTR)
 
     def to_rts(self) -> None:
@@ -213,12 +200,6 @@ class QueuePair:
             self.responder.on_packet(packet)
         else:
             self.requester.on_packet(packet)
-        ac = self.rnic.arraycore
-        if ac is not None:
-            # One write-through per dispatched packet covers every field
-            # a handler chain can move (PSNs, MSN, retries, queue depth,
-            # state); the timer columns are written at their arm sites.
-            ac.sync_hot(self)
 
     def post_send(self, wr: WorkRequest) -> None:
         """Post to the send queue (``ibv_post_send``)."""

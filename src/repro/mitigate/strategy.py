@@ -55,10 +55,8 @@ class MitigationStrategy:
     description: str
     #: fast-path compatibility: incompatible strategies make the storm
     #: coalescer decline every round with a tallied ``"mitigation"``
-    #: reason, and the microbench falls back from the array core with a
-    #: ``mitigation_fallbacks["arraycore"]`` tally.
+    #: reason (no memo is built, so no fleet sweep engages either).
     coalesce_compatible: bool = True
-    arraycore_compatible: bool = True
     # --- selective-retransmit (IRN) knobs ---
     #: replace go-back-N with selective repeat at WQE granularity.
     selective: bool = False
@@ -98,10 +96,9 @@ STRATEGIES: Dict[str, MitigationStrategy] = {
             description="IRN-style selective repeat: BDP-bounded window, "
                         "RTO_low instead of the C_ACK detection timeout, "
                         "eager sequence NAKs",
-            # The coalescer's closed forms replay the go-back-N burst
-            # shape; the array core's fleet sweep assumes the same.
+            # The coalescer's closed forms (fleet sweeps included)
+            # replay the go-back-N burst shape.
             coalesce_compatible=False,
-            arraycore_compatible=False,
             selective=True,
             bdp_packets=4,
             rto_low_ns=320 * US,

@@ -84,14 +84,6 @@ class Network:
         #: Consulted on every injection (packet faults) and by
         #: :meth:`requires_real` (active windows force per-packet).
         self.chaos: Optional[Any] = None
-        #: bulk-delivery path armed (:meth:`enable_bulk`): batches of
-        #: provably-quiet same-timestamp-grid rounds may cross the
-        #: fabric in closed form (:meth:`bulk_book` + per-hop
-        #: ``bulk_occupy``/``bulk_forward``) instead of one event per
-        #: hop.  Per-packet timing and end state are identical;
-        #: observers that need the real per-packet flow force a per-pair
-        #: fallback via :meth:`requires_real` / :meth:`fleet_allowed`.
-        self.bulk = False
         self.switch.on_drop = self._on_switch_drop
 
     # ------------------------------------------------------------------
@@ -290,35 +282,23 @@ class Network:
         stats.tx_bytes += packet.wire_size
         self._links[src_lid].a_to_b.transmit(packet)
 
-    def enable_bulk(self) -> None:
-        """Arm the batched (closed-form) delivery path.  Idempotent.
-
-        This is a capability switch, not a routing change: packets
-        injected through :meth:`inject` still take the real per-event
-        path.  What it unlocks is the storm coalescer's *fleet*
-        fast-forward — whole provably-quiet retransmission rounds
-        applied arithmetically through :meth:`bulk_book`, the links'
-        ``bulk_occupy`` and the switch's ``bulk_forward`` — keyed off
-        the engine's ready-event batches.  Eligibility is re-checked
-        per batch via :meth:`fleet_allowed`, so arming an observer
-        mid-run falls traffic back to per-packet delivery exactly as
-        :meth:`requires_real` demands.
-        """
-        self.bulk = True
-
     def fleet_allowed(self, src_lid: int, dst_lid: int) -> bool:
         """May rounds between this LID pair be applied in closed form?
+
+        The storm coalescer's fleet sweeps apply whole provably-quiet
+        retransmission rounds arithmetically through :meth:`bulk_book`,
+        the links' ``bulk_occupy`` and the switch's ``bulk_forward``;
+        this is re-checked per sweep, so arming an observer mid-run
+        falls traffic back to per-packet delivery.
 
         Observers that consume the *event stream* rather than handler
         outcomes force the real path: engine trace hooks see every
         scheduled event, a chaos engine may pause/flap/reorder any hop,
         and taps-without-sink or loss rules scoped to either endpoint
-        already force per-packet flow through the PR 3
-        :meth:`requires_real` contract.  (Taps with synthetic sinks
-        keep observing coalesced rounds as bulk rows either way.)
+        already force per-packet flow through the :meth:`requires_real`
+        contract.  (Taps with synthetic sinks keep observing coalesced
+        rounds as bulk rows either way.)
         """
-        if not self.bulk:
-            return False
         if self.sim.trace_hooks or self.chaos is not None:
             return False
         if (self._taps or self._loss_rules) \

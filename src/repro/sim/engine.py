@@ -409,8 +409,8 @@ class Simulator:
         """Live events firing at or before ``limit`` in exact firing
         order (``(time, seq)``).
 
-        The batch-delivery consumers (the array core's joint-round
-        recruitment, bulk observers) need the events of a horizon *in
+        The batch-delivery consumers (the storm coalescer's fleet
+        sweeps, bulk observers) need the events of a horizon *in
         the order the run loop would fire them*, not the heap/wheel's
         internal layout; this wraps :meth:`live_events_until` with that
         ordering guarantee.  Read-only, like the probes it builds on.

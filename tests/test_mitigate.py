@@ -49,10 +49,8 @@ class TestRegistry:
     def test_compatibility_declarations(self):
         selective = STRATEGIES["selective-retransmit"]
         assert not selective.coalesce_compatible
-        assert not selective.arraycore_compatible
         for name in ("none", "dynamic-pin", "prefetch-advise"):
             assert STRATEGIES[name].coalesce_compatible
-            assert STRATEGIES[name].arraycore_compatible
 
 
 class TestNoneBitIdentity:
@@ -107,21 +105,39 @@ class TestDeclineSemantics:
         assert _surface(on) == _surface(off)
         assert on.coalesced_rounds == 0  # every round declined
 
-    def test_selective_declines_arraycore_with_tally(self):
-        base = _with(_flood_config(0, num_qps=8, num_ops=64),
-                     mitigation="selective-retransmit")
-        fallback = run_microbench(_with(base, arraycore=True))
-        scalar = run_microbench(_with(base, arraycore=False))
-        assert fallback.mitigation_fallbacks.get("arraycore") == 1
-        assert "arraycore" not in scalar.mitigation_fallbacks
-        assert _surface(fallback) == _surface(scalar)
+    def test_selective_absorbs_no_fleet_rounds(self):
+        """Fleet sweeps replay the go-back-N burst shape too: on a
+        window-1 flood they carry without a strategy, selective-retransmit
+        under ``coalesce=True`` absorbs none, tallies its declines as
+        ``"mitigation"`` and measures exactly the ``coalesce=False`` run."""
+        base = _with(_flood_config(0, num_qps=256, num_ops=1024),
+                     max_rd_atomic=1, interval_us=0.0)
+
+        def run(config):
+            clusters = []
+            result = run_microbench(config, on_cluster=clusters.append)
+            coalescers = [qp.coalescer for node in clusters[0].nodes
+                          for qp in node.rnic._qps.values()]
+            return (result, sum(c.fleet_rounds for c in coalescers),
+                    sum(c.decline_reasons.get("mitigation", 0)
+                        for c in coalescers))
+
+        _, baseline_fleet, _ = run(base)
+        selective = _with(base, mitigation="selective-retransmit")
+        on, fleet, declined = run(_with(selective, coalesce=True))
+        off = run_microbench(_with(selective, coalesce=False))
+        assert baseline_fleet > 0
+        assert fleet == 0
+        assert declined > 0
+        assert on.mitigation_fallbacks == {"coalesce": declined}
+        assert _surface(on) == _surface(off)
 
     @pytest.mark.parametrize("strategy", ["dynamic-pin",
                                           "prefetch-advise"])
     def test_compatible_strategy_declines_nothing(self, strategy):
         result = run_microbench(
             _with(_flood_config(0, num_qps=8, num_ops=64),
-                  coalesce=True, arraycore=True, mitigation=strategy))
+                  coalesce=True, mitigation=strategy))
         assert result.mitigation_fallbacks == {}
 
 
@@ -218,7 +234,7 @@ class TestSweepShardPassThrough:
         return MicrobenchConfig(
             size=400, num_ops=64, num_qps=16, interval_us=0.0,
             odp=OdpSetup.CLIENT, integrity=False, seed=50,
-            max_rd_atomic=1, coalesce=True, arraycore=True,
+            max_rd_atomic=1, coalesce=True,
             num_groups=2, shards=shards, mitigation=mitigation)
 
     @pytest.mark.parametrize("mitigation", ["dynamic-pin",
@@ -233,7 +249,7 @@ class TestSweepShardPassThrough:
     def test_fleet_merge_sums_fallback_tallies(self):
         fleet = run_fleet(self._fleet_config("selective-retransmit",
                                              shards=2))
-        # each of the 2 groups declines the array core once, and every
-        # coalescer round declines with the tallied reason
-        assert fleet.result.mitigation_fallbacks["arraycore"] == 2
+        # every coalescer round of both groups declines with the
+        # tallied reason
+        assert set(fleet.result.mitigation_fallbacks) == {"coalesce"}
         assert fleet.result.mitigation_fallbacks["coalesce"] > 0

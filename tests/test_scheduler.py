@@ -18,7 +18,7 @@ def _fleet_config(**overrides):
     """A small sharded flood fleet (fig09-shaped)."""
     base = dict(size=400, num_ops=256, num_qps=64, interval_us=0.0,
                 odp=OdpSetup.CLIENT, integrity=False, seed=50,
-                max_rd_atomic=1, coalesce=True, arraycore=True,
+                max_rd_atomic=1, coalesce=True,
                 num_groups=4)
     base.update(overrides)
     return MicrobenchConfig(**base)

@@ -28,7 +28,7 @@ def _flood_config(**overrides):
     """A small fig09-shaped window-1 client-ODP flood fleet."""
     base = dict(size=400, num_ops=256, num_qps=64, interval_us=0.0,
                 odp=OdpSetup.CLIENT, integrity=False, seed=50,
-                max_rd_atomic=1, coalesce=True, arraycore=True,
+                max_rd_atomic=1, coalesce=True,
                 num_groups=4)
     base.update(overrides)
     return MicrobenchConfig(**base)
@@ -235,8 +235,8 @@ class TestShardInvariance:
                 assert surface == reference
 
     def test_object_mode_fleet_identical(self):
-        cfg = _flood_config(coalesce=False, arraycore=False, num_qps=32,
-                            num_ops=128, num_groups=2)
+        cfg = _flood_config(coalesce=False, num_qps=32, num_ops=128,
+                            num_groups=2)
         serial = run_fleet(dataclasses.replace(cfg, shards=1))
         pooled = run_fleet(dataclasses.replace(cfg, shards=2))
         assert _metrics(serial.result) == _metrics(pooled.result)

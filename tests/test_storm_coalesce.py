@@ -10,18 +10,24 @@ probes and the tx-ring replay the closed forms are built on.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tests.helpers import make_connected_pair  # noqa: F401 - import order
 from repro.bench.microbench import (MicrobenchConfig, OdpSetup,
                                     run_microbench)
+import repro
 from repro.capture.sniffer import Sniffer
 from repro.host.cluster import build_pair
 from repro.ib.odp.status_engine import PageStatusEngine
 from repro.ib.transport.coalesce import StormCoalescer
 from repro.sim.engine import Simulator
 from repro.sim.timebase import MS
+from repro.telemetry import Telemetry
 
 
 def _metrics(result):
@@ -38,12 +44,15 @@ def _metrics(result):
 
 
 def _flood_config(coalesce, num_qps=50, num_ops=512, size=400,
-                  odp=OdpSetup.CLIENT, seed=50):
+                  odp=OdpSetup.CLIENT, seed=50, max_rd_atomic=16,
+                  telemetry=None):
     """A Figure 9-shaped point (client-ODP packet flood)."""
     return MicrobenchConfig(size=size, num_ops=num_ops, num_qps=num_qps,
                             odp=odp, cack=14,
                             min_rnr_timer_ns=round(1.28 * MS),
-                            integrity=False, seed=seed, coalesce=coalesce)
+                            integrity=False, seed=seed,
+                            max_rd_atomic=max_rd_atomic, coalesce=coalesce,
+                            telemetry=telemetry)
 
 
 class TestBitIdentity:
@@ -92,6 +101,112 @@ class TestBitIdentity:
                     for qp in client_node.rnic._qps.values())
         assert result.coalesced_rounds > 0
         assert joint > 0
+
+    @pytest.mark.parametrize("odp", [OdpSetup.CLIENT, OdpSetup.SERVER,
+                                     OdpSetup.BOTH])
+    def test_fig09_window1_shapes(self, odp):
+        """Window-1 flood points, the shape fleet sweeps carry, for
+        each faulting side."""
+        kwargs = dict(num_qps=50, num_ops=512) if odp is OdpSetup.CLIENT \
+            else dict(num_qps=25, num_ops=256)
+        off = run_microbench(_flood_config(False, odp=odp, max_rd_atomic=1,
+                                           **kwargs))
+        on = run_microbench(_flood_config(True, odp=odp, max_rd_atomic=1,
+                                          **kwargs))
+        assert _metrics(off) == _metrics(on)
+
+    def test_telemetry_counters_and_fingerprint_unchanged(self):
+        """An attached telemetry session forces per-packet delivery;
+        fingerprints and the counter identity surface must match the
+        per-packet run exactly (the gate the telemetry smoke runs)."""
+        streams = []
+        for coalesce in (False, True):
+            tel = Telemetry()
+            result = run_microbench(
+                _flood_config(coalesce, num_qps=10, num_ops=128,
+                              max_rd_atomic=1, telemetry=tel))
+            streams.append((_metrics(result), tel.fingerprint(),
+                            tel.counters().identity_surface()))
+        assert streams[0] == streams[1]
+
+    def test_capped_load_matches_uncapped_walk(self):
+        """The status engine's load walk stops at the backlog cap (and
+        is skipped once the backlog alone reaches it).  On a Fig 9-shaped
+        client-ODP flood deep enough for the cap to bind, a twin run
+        whose load_fn returns the full uncapped walk must price every
+        service identically and report identical metrics, with every
+        storm fast path on."""
+        services = []
+
+        def uncapped(cluster):
+            for node in cluster.nodes:
+                engine = node.rnic.status_engine
+                walk = node.rnic.odp.retransmit_load
+
+                def load_fn(cap, engine=engine, walk=walk):
+                    full = walk(1 << 62)
+                    capped = walk(cap)
+                    # _serve_next has popped the item in service but
+                    # still counts it: backlog == len(stack) + 1.
+                    base = engine.backlog
+                    services.append((
+                        engine.service_cost_ns(max(base, full)),
+                        engine.service_cost_ns(max(base, capped)),
+                        max(base, full) > cap))
+                    return full
+
+                engine.load_fn = load_fn
+
+        config = _flood_config(True, num_qps=256, num_ops=2048,
+                               max_rd_atomic=8)
+        reference = run_microbench(config, on_cluster=uncapped)
+        capped = run_microbench(config)
+        assert services
+        assert all(full == part for full, part, _ in services)
+        assert sum(bound for _, _, bound in services) > len(services) // 4
+        # Every Figure 9 column (execution time, packets, timeouts,
+        # blind retransmits) is part of this surface.
+        assert _metrics(reference) == _metrics(capped)
+
+
+class TestFleetSweeps:
+    def test_fleet_sweeps_engage_with_coalesce_alone(self):
+        """``coalesce=True`` is the only knob a window-1 lazy-payload
+        flood needs for fleet and seeded sweeps to carry it, and the
+        swept run still measures exactly what the per-packet run does."""
+        def cfg(coalesce):
+            return MicrobenchConfig(size=400, num_ops=2048, num_qps=512,
+                                    interval_us=0.0, odp=OdpSetup.CLIENT,
+                                    integrity=False, seed=50,
+                                    max_rd_atomic=1, coalesce=coalesce)
+        clusters = []
+        on = run_microbench(cfg(True), on_cluster=clusters.append)
+        off = run_microbench(cfg(False))
+        coalescers = [qp.coalescer for node in clusters[0].nodes
+                      for qp in node.rnic._qps.values()]
+        assert sum(c.fleet_rounds for c in coalescers) > 0
+        assert sum(c.seed_rounds for c in coalescers) > 0
+        assert on.blind_retransmit_rounds > 0
+        assert _metrics(on) == _metrics(off)
+
+    def test_runtime_never_imports_numpy(self):
+        """The simulator is pure stdlib: a coalesced flood (fleet sweeps
+        included) runs in a fresh interpreter without loading numpy."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.bench.microbench import (MicrobenchConfig,\n"
+            "                                    OdpSetup, run_microbench)\n"
+            "run_microbench(MicrobenchConfig(\n"
+            "    size=400, num_ops=1024, num_qps=256, interval_us=0.0,\n"
+            "    odp=OdpSetup.CLIENT, integrity=False, seed=50,\n"
+            "    max_rd_atomic=1, coalesce=True))\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestObserverGating:
