@@ -102,19 +102,6 @@ class TestBitIdentity:
         assert result.coalesced_rounds > 0
         assert joint > 0
 
-    @pytest.mark.parametrize("odp", [OdpSetup.CLIENT, OdpSetup.SERVER,
-                                     OdpSetup.BOTH])
-    def test_fig09_window1_shapes(self, odp):
-        """Window-1 flood points, the shape fleet sweeps carry, for
-        each faulting side."""
-        kwargs = dict(num_qps=50, num_ops=512) if odp is OdpSetup.CLIENT \
-            else dict(num_qps=25, num_ops=256)
-        off = run_microbench(_flood_config(False, odp=odp, max_rd_atomic=1,
-                                           **kwargs))
-        on = run_microbench(_flood_config(True, odp=odp, max_rd_atomic=1,
-                                          **kwargs))
-        assert _metrics(off) == _metrics(on)
-
     def test_telemetry_counters_and_fingerprint_unchanged(self):
         """An attached telemetry session forces per-packet delivery;
         fingerprints and the counter identity surface must match the
