@@ -10,8 +10,8 @@ tracks the two numbers that matter for that trajectory:
 * **cancel_heavy** — the requester's churn pattern: every simulated
   "ACK" cancels a pending ~500 ms timeout and re-arms it, so almost no
   timer ever fires.  The seed engine left each corpse in the heap until
-  its far-future expiry surfaced; the current engine compacts the heap
-  and keeps timers in the hierarchical wheel.
+  its far-future expiry surfaced; the current engine keeps timers in
+  the hierarchical wheel.
 
 The baseline is a frozen copy of the seed engine (object-comparison
 heap, no compaction, no wheel) so speedups stay measurable across PRs.
@@ -128,10 +128,9 @@ def dispatch_workload(sim, total: int) -> int:
     return count
 
 
-def cancel_heavy_workload(sim, total: int, use_wheel: bool) -> int:
+def cancel_heavy_workload(sim, total: int) -> int:
     """``total`` ops, each cancelling and re-arming a far-future timer —
     the RC requester's ACK pattern.  Returns ops executed."""
-    arm = sim.schedule_timer if use_wheel else sim.schedule
     timers: List[Optional[Any]] = [None] * CHAINS
     count = 0
 
@@ -144,7 +143,7 @@ def cancel_heavy_workload(sim, total: int, use_wheel: bool) -> int:
         pending = timers[lane]
         if pending is not None:
             pending.cancel()
-        timers[lane] = arm(TIMEOUT_NS, expire)
+        timers[lane] = sim.schedule_timer(TIMEOUT_NS, expire)
         if count <= total - CHAINS:
             sim.schedule(OP_GAP_NS, ack, lane)
 
@@ -183,19 +182,15 @@ def run_bench(total: int, repeats: int = 3) -> Dict[str, Any]:
         },
         "cancel_heavy": {
             "seed_eps": best(lambda: cancel_heavy_workload(
-                SeedSimulator(), total, use_wheel=False)),
-            "engine_heap_eps": best(lambda: cancel_heavy_workload(
-                Simulator(), total, use_wheel=False)),
+                SeedSimulator(), total)),
             "engine_wheel_eps": best(lambda: cancel_heavy_workload(
-                Simulator(), total, use_wheel=True)),
+                Simulator(), total)),
         },
     }
     dispatch = results["dispatch"]
     dispatch["speedup"] = round(dispatch["engine_eps"]
                                 / dispatch["seed_eps"], 2)
     cancel = results["cancel_heavy"]
-    cancel["speedup_heap"] = round(cancel["engine_heap_eps"]
-                                   / cancel["seed_eps"], 2)
     cancel["speedup_wheel"] = round(cancel["engine_wheel_eps"]
                                     / cancel["seed_eps"], 2)
     return results
@@ -203,7 +198,6 @@ def run_bench(total: int, repeats: int = 3) -> Dict[str, Any]:
 
 #: The machine-independent ratios the regression gate compares.
 _CHECKED_RATIOS = (("dispatch", "speedup"),
-                   ("cancel_heavy", "speedup_heap"),
                    ("cancel_heavy", "speedup_wheel"))
 
 

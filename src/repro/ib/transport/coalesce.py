@@ -851,8 +851,8 @@ class StormCoalescer:
         same-timestamp tie downstream resolves identically.  The first
         event that fails any check ends the sweep; everything from it on
         fires for real.  Observers force per-packet delivery through
-        :meth:`Network.fleet_allowed` (chaos, trace hooks, taps, loss
-        rules) and per-member gates (telemetry, ``requires_real`` via
+        :meth:`Network.fleet_allowed` (chaos, taps, loss rules) and
+        per-member gates (telemetry, ``requires_real`` via
         ``_peer``), matching the PR 3 fallback contract.
         """
         if not self._fleet_ready:

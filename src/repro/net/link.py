@@ -107,7 +107,8 @@ class LinkEnd:
         if self._track_inflight:
             token = self._inflight_next
             self._inflight_next = token + 1
-            event = self.sim.at(arrival, self._tracked_deliver, token, packet)
+            event = self.sim.timer_at(arrival, self._tracked_deliver, token,
+                                      packet)
             self._inflight[token] = (event, packet)
         else:
             self.sim.at(arrival, self.deliver, packet)
@@ -120,8 +121,9 @@ class LinkEnd:
     def enable_inflight_tracking(self) -> None:
         """Track delivery events so :meth:`set_down` can drain the wire.
 
-        Tracking changes no timing (the delivery event fires at the same
-        timestamp through a one-hop trampoline); it is enabled up front
+        Tracking changes no timing (the delivery is a cancellable timer
+        at the same ``(time, seq)`` position, firing through a one-hop
+        trampoline); it is enabled up front
         for any link a chaos plan may flap, so instrumented and bare
         runs stay bit-identical.
         """

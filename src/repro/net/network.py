@@ -292,14 +292,13 @@ class Network:
         falls traffic back to per-packet delivery.
 
         Observers that consume the *event stream* rather than handler
-        outcomes force the real path: engine trace hooks see every
-        scheduled event, a chaos engine may pause/flap/reorder any hop,
-        and taps-without-sink or loss rules scoped to either endpoint
-        already force per-packet flow through the :meth:`requires_real`
-        contract.  (Taps with synthetic sinks keep observing coalesced
-        rounds as bulk rows either way.)
+        outcomes force the real path: a chaos engine may
+        pause/flap/reorder any hop, and taps-without-sink or loss rules
+        scoped to either endpoint already force per-packet flow through
+        the :meth:`requires_real` contract.  (Taps with synthetic sinks
+        keep observing coalesced rounds as bulk rows either way.)
         """
-        if self.sim.trace_hooks or self.chaos is not None:
+        if self.chaos is not None:
             return False
         if (self._taps or self._loss_rules) \
                 and self.requires_real(src_lid, dst_lid):

@@ -1,6 +1,6 @@
 """The discrete-event engine.
 
-A :class:`Simulator` owns a priority queue of :class:`Event` objects, an
+A :class:`Simulator` owns a priority queue of scheduled callbacks, an
 integer-nanosecond clock, and a seeded random number generator.  Events
 scheduled for the same timestamp fire in scheduling order, which makes
 every run bit-for-bit reproducible for a given seed.
@@ -8,33 +8,41 @@ every run bit-for-bit reproducible for a given seed.
 Hot-path design (the flood experiments push tens of millions of events
 through this loop):
 
-* heap entries are ``(time, seq, event)`` tuples so every push/pop
-  comparison is a C-level tuple compare, never a Python ``__lt__`` call;
-* cancellation is lazy but *bounded*: a counter tracks dead entries and
-  the heap is compacted in place once they outnumber the live ones, so
-  cancel-heavy transport workloads cannot bloat the queue;
-* the high-churn schedule-then-cancel timer class (transport timeouts,
-  RNR waits, blind-retransmit ticks) lives in a hierarchical timer
-  wheel (:mod:`repro.sim.timerwheel`) with O(1) arm/cancel, and is
-  promoted into the heap just before coming due — firing order stays
-  exactly ``(time, seq)``;
-* :meth:`Simulator.run` uses a batched inner loop with attribute
-  lookups hoisted into locals and skips trace-hook dispatch entirely
-  when no hooks are registered.
+* fire-and-forget callbacks (:meth:`Simulator.schedule`,
+  :meth:`~Simulator.at`, :meth:`~Simulator.call_soon`) enter the heap
+  as bare ``(time, seq, fn, args)`` tuples — no per-event object, no
+  handle; ``seq`` is unique, so every push/pop comparison is a C-level
+  tuple compare that never reaches ``fn``;
+* cancellation lives only in the timer class: transport timeouts, RNR
+  waits, blind-retransmit ticks and chaos-tracked link deliveries are
+  armed with :meth:`~Simulator.schedule_timer` / :meth:`~Simulator.timer_at`
+  and get a cancellable :class:`Event` in a hierarchical timer wheel
+  (:mod:`repro.sim.timerwheel`) with O(1) arm/cancel.  Just before
+  coming due a timer is promoted into the heap as
+  ``(time, seq, None, event)`` — firing order stays exactly
+  ``(time, seq)`` — and only those entries are checked for
+  cancellation when popped;
+* :meth:`Simulator.run` folds its ``until``/``max_events`` limits into
+  integer bounds once and keeps the clock in a plain attribute.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import namedtuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.timerwheel import TimerWheel
 
-#: Dead heap entries tolerated before an in-place compaction.
-COMPACT_MIN = 64
-
 _heappush = heapq.heappush
+
+#: ``run`` bound standing in for "no ``until``" / "no ``max_events``".
+_UNBOUNDED = 1 << 62
+
+#: Read-only view of a plain heap entry, as the probes hand it out: the
+#: same ``.time/.seq/.fn/.args`` surface a timer :class:`Event` has.
+PlainEvent = namedtuple("PlainEvent", "time seq fn args")
 
 
 class SimulationError(RuntimeError):
@@ -42,12 +50,10 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled callback.
+    """A cancellable scheduled callback: a *timer*.
 
-    Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.at` / :meth:`Simulator.schedule_timer` and support
-    cancellation: a cancelled event is skipped (and its storage
-    reclaimed in bulk) rather than fired.
+    Created by :meth:`Simulator.schedule_timer` / :meth:`Simulator.timer_at`.
+    A cancelled timer is skipped rather than fired.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_home")
@@ -60,7 +66,7 @@ class Event:
         self.args = args
         self.cancelled = False
         #: Simulator (heap-resident) or TimerWheel (wheel-resident); the
-        #: owner keeps the live/dead accounting when we are cancelled.
+        #: owner keeps the live-event accounting when we are cancelled.
         self._home = home
 
     def cancel(self) -> None:
@@ -76,9 +82,6 @@ class Event:
     def pending(self) -> bool:
         """True while the event has neither fired nor been cancelled."""
         return not self.cancelled and self.fn is not None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -98,16 +101,17 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._now: int = 0
+        #: Current simulation time in nanoseconds.
+        self.now: int = 0
         self._seq: int = 0
-        self._queue: List[Tuple[int, int, Event]] = []
+        #: ``(time, seq, fn, args)`` plain entries and
+        #: ``(time, seq, None, event)`` promoted timers.
+        self._queue: List[tuple] = []
         self._fired: int = 0
-        self._cancelled: int = 0  # dead entries still in the heap
         self._pending: int = 0    # live events, heap + wheel
         self._wheel = TimerWheel(self)
         self.rng = random.Random(seed)
         self.seed = seed
-        self.trace_hooks: List[Callable[[int, Event], None]] = []
         #: Macro-event accounting (storm coalescing): per-packet events
         #: that were *not* executed because a steady-state round was
         #: applied in closed form, and the simulated span they covered.
@@ -118,20 +122,11 @@ class Simulator:
         #: ``jitter`` draw bit-widths keyed by sample width (see there).
         self._jitter_specs: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     @property
     def events_fired(self) -> int:
         """Number of events executed so far (a cheap progress metric).
 
-        Cancelled events are skipped silently and never counted, by
+        Cancelled timers are skipped silently and never counted, by
         ``step`` and ``run`` alike.
         """
         return self._fired
@@ -140,49 +135,54 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now."""
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to run ``delay`` nanoseconds from now.
+
+        Fire-and-forget: there is no handle to cancel.  Use
+        :meth:`schedule_timer` for anything that may need cancelling.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         if type(delay) is not int:
             delay = int(delay)
-        # ``at`` inlined: the most frequent call in every workload.
         self._seq = seq = self._seq + 1
-        time = self._now + delay
-        event = Event(time, seq, fn, args, self)
         self._pending += 1
-        _heappush(self._queue, (time, seq, event))
-        return event
+        _heappush(self._queue, (self.now + delay, seq, fn, args))
 
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute timestamp."""
-        if time < self._now:
+    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at an absolute timestamp
+        (fire-and-forget, like :meth:`schedule`)."""
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
         if type(time) is not int:
             time = int(time)
         self._seq = seq = self._seq + 1
-        event = Event(time, seq, fn, args, self)
         self._pending += 1
-        _heappush(self._queue, (time, seq, event))
-        return event
+        _heappush(self._queue, (time, seq, fn, args))
+
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at the current timestamp (after the
+        currently-executing event completes)."""
+        self._seq = seq = self._seq + 1
+        self._pending += 1
+        _heappush(self._queue, (self.now, seq, fn, args))
 
     def schedule_timer(self, delay: int, fn: Callable[..., Any],
                        *args: Any) -> Event:
-        """Schedule a *timer*: an event that will very likely be
-        cancelled and re-armed before it fires (transport timeouts, RNR
-        waits, retransmit ticks).
+        """Schedule a cancellable *timer*: an event that will very likely
+        be cancelled and re-armed before it fires (transport timeouts,
+        RNR waits, retransmit ticks).
 
         Timers live in the hierarchical timer wheel — O(1) to arm and
         cancel — instead of the main heap, but fire at exactly the same
-        ``(time, seq)`` position a :meth:`schedule` call would have:
-        the two are behaviourally interchangeable.
+        ``(time, seq)`` position a :meth:`schedule` call would have.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._seq += 1
-        event = Event(self._now + int(delay), self._seq, fn, args)
+        event = Event(self.now + int(delay), self._seq, fn, args)
         self._pending += 1
         self._wheel.insert(event)
         return event
@@ -190,7 +190,7 @@ class Simulator:
     def timer_at(self, time: int, fn: Callable[..., Any],
                  *args: Any) -> Event:
         """Arm a timer at an absolute timestamp (:meth:`at`'s contract,
-        :meth:`schedule_timer`'s wheel residency).
+        :meth:`schedule_timer`'s wheel residency and handle).
 
         The batched-delivery fast-forward re-arms absorbed storm ticks
         from the batch's own instant: the replacement timer must carry
@@ -199,9 +199,9 @@ class Simulator:
         a proven-quiet window) and must live in the wheel so
         steady-state floods keep the main heap small.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
         self._seq += 1
         event = Event(int(time), self._seq, fn, args)
@@ -209,30 +209,14 @@ class Simulator:
         self._wheel.insert(event)
         return event
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current timestamp (after the
-        currently-executing event completes)."""
-        return self.schedule(0, fn, *args)
-
     # ------------------------------------------------------------------
-    # Heap hygiene
+    # Timer bookkeeping
     # ------------------------------------------------------------------
 
     def _note_cancel(self) -> None:
-        """A heap-resident event was cancelled (called by Event.cancel)."""
+        """A heap-resident timer was cancelled (called by Event.cancel);
+        its dead entry is dropped when it surfaces."""
         self._pending -= 1
-        self._cancelled += 1
-        if self._cancelled > COMPACT_MIN \
-                and self._cancelled * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without its dead entries, in place (callers
-        in the run loop hold a reference to the same list object)."""
-        queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        heapq.heapify(queue)
-        self._cancelled = 0
 
     def _promote_due(self) -> None:
         """Pull wheel timers that may fire at or before the heap head
@@ -261,7 +245,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.
 
-        Returns ``False`` when no live events remain.  Cancelled events
+        Returns ``False`` when no live events remain.  Cancelled timers
         are discarded silently and do not count as a step.
         """
         queue = self._queue
@@ -272,20 +256,18 @@ class Simulator:
                 self._promote_due()
             if not queue:
                 return False
-            time, _seq, event = pop(queue)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time
+            time, _seq, fn, args = pop(queue)
+            if fn is None:  # a promoted timer
+                event = args
+                if event.cancelled:
+                    continue
+                fn, args = event.fn, event.args
+                event.fn = None  # mark fired, release references
+                event.args = ()
+                event._home = None
+            self.now = time
             self._fired += 1
             self._pending -= 1
-            fn, args = event.fn, event.args
-            event.fn = None  # mark fired, release references
-            event.args = ()
-            event._home = None
-            if self.trace_hooks:
-                for hook in self.trace_hooks:
-                    hook(time, event)
             fn(*args)
             return True
 
@@ -296,44 +278,37 @@ class Simulator:
         With ``until`` set, the clock is advanced to exactly ``until``
         even if the last event fires earlier (mirroring "run for this
         long").  ``max_events`` counts executed events only — silently
-        skipped cancelled entries do not consume budget, keeping the
+        skipped cancelled timers do not consume budget, keeping the
         accounting consistent with :meth:`step` and :attr:`events_fired`.
         """
         queue = self._queue
         wheel = self._wheel
         pop = heapq.heappop
-        hooks = self.trace_hooks
+        limit = _UNBOUNDED if until is None else until
+        budget = _UNBOUNDED if max_events is None else max_events
         fired = 0
-        while True:
+        while fired < budget:
             if wheel._live and (not queue or queue[0][0] >= wheel._next):
                 self._promote_due()
-            if not queue:
+            if not queue or queue[0][0] > limit:
                 break
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                pop(queue)
-                self._cancelled -= 1
-                continue
-            if until is not None and time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                break
-            pop(queue)
-            self._now = time
+            time, _seq, fn, args = pop(queue)
+            if fn is None:  # a promoted timer
+                event = args
+                if event.cancelled:
+                    continue
+                fn, args = event.fn, event.args
+                event.fn = None  # mark fired, release references
+                event.args = ()
+                event._home = None
+            self.now = time
             fired += 1
             self._pending -= 1
-            fn, args = event.fn, event.args
-            event.fn = None  # mark fired, release references
-            event.args = ()
-            event._home = None
-            if hooks:
-                for hook in hooks:
-                    hook(time, event)
             fn(*args)
         self._fired += fired
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
         """Run until no events remain.  ``max_events`` is a runaway guard."""
@@ -342,7 +317,7 @@ class Simulator:
             raise SimulationError(
                 f"simulation did not converge after {max_events} events"
             )
-        return self._now
+        return self.now
 
     def pending_events(self) -> int:
         """Number of live (scheduled, not yet fired or cancelled) events.
@@ -365,18 +340,16 @@ class Simulator:
         timer, packet hop, or posting step that could interleave with the
         round is a live event inside the window, so a quiet window
         guarantees the closed-form synthesis replays exactly what the
-        per-event cascade would have done.  Cancelled heap heads are
-        popped in passing (same bookkeeping as the run loop).
+        per-event cascade would have done.  Cancelled timers at the heap
+        head are popped in passing (same bookkeeping as the run loop).
         """
         queue = self._queue
-        pop = heapq.heappop
         while queue:
-            time, _seq, event = queue[0]
-            if event.cancelled:
-                pop(queue)
-                self._cancelled -= 1
+            head = queue[0]
+            if head[2] is None and head[3].cancelled:
+                heapq.heappop(queue)
                 continue
-            if time <= limit:
+            if head[0] <= limit:
                 return False
             break
         wheel = self._wheel
@@ -386,7 +359,7 @@ class Simulator:
             return wheel.earliest_until(limit) is None
         return True
 
-    def live_events_until(self, limit: int) -> List[Event]:
+    def live_events_until(self, limit: int) -> List[Any]:
         """Every live event (heap or wheel) firing at or before ``limit``.
 
         The storm coalescer's refined eligibility gate: a round whose
@@ -394,18 +367,24 @@ class Simulator:
         every event inside the span is provably non-interacting (e.g.
         another stale QP's blind tick landing after the round's last
         shared-resource touch).  The caller inspects each event's
-        callback and timestamp to decide.  Unordered; cancelled entries
-        are skipped (heap entries are left in place — this is a read-only
-        probe).
+        ``.time/.seq/.fn/.args`` to decide.  Timers come back as their
+        :class:`Event` handles, plain entries as :class:`PlainEvent`
+        views.  Unordered; cancelled timers are skipped (heap entries
+        are left in place — this is a read-only probe).
         """
-        events = [event for time, _seq, event in self._queue
-                  if time <= limit and not event.cancelled]
+        events: List[Any] = []
+        for entry in self._queue:
+            if entry[0] <= limit:
+                if entry[2] is not None:
+                    events.append(PlainEvent._make(entry))
+                elif not entry[3].cancelled:
+                    events.append(entry[3])
         wheel = self._wheel
         if wheel._live and wheel._next <= limit:
             events.extend(wheel.events_until(limit))
         return events
 
-    def ready_batch(self, limit: int) -> List[Event]:
+    def ready_batch(self, limit: int) -> List[Any]:
         """Live events firing at or before ``limit`` in exact firing
         order (``(time, seq)``).
 
@@ -462,5 +441,5 @@ class Simulator:
         return value if value > 0 else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator t={self._now}ns queue={len(self._queue)}"
+        return (f"<Simulator t={self.now}ns queue={len(self._queue)}"
                 f" wheel={self._wheel._live}>")

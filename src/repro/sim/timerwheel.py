@@ -15,10 +15,11 @@ This wheel gives the schedule/cancel cycle ``O(1)`` cost:
 * cancellation just flags the :class:`~repro.sim.engine.Event`; slots
   are swept in bulk once dead entries outnumber the live ones;
 * shortly before a slot comes due its live timers are *promoted* into
-  the simulator's main heap (cascading through finer levels first), so
-  events fire in exact ``(time, seq)`` order — the wheel is an index,
-  never a source of timing slop.  Wheel-scheduled and heap-scheduled
-  events are therefore bit-for-bit interchangeable.
+  the simulator's main heap as ``(time, seq, None, event)`` entries
+  (cascading through finer levels first), so events fire in exact
+  ``(time, seq)`` order — the wheel is an index, never a source of
+  timing slop.  Timers and plain heap events are therefore bit-for-bit
+  interchangeable in firing order.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class TimerWheel:
                 return
         # Expiry beyond the top level's horizon (~years): the heap is fine.
         event._home = self.sim
-        heappush(self.sim._queue, (time, event.seq, event))
+        heappush(self.sim._queue, (time, event.seq, None, event))
 
     def _note_cancel(self) -> None:
         """A wheel-resident event was cancelled (called by Event.cancel)."""
@@ -208,7 +209,7 @@ class TimerWheel:
         return found
 
     def promote_until(self, limit: int,
-                      push: Callable[[Tuple[int, int, "Event"]], None]
+                      push: Callable[[Tuple[int, int, None, "Event"]], None]
                       ) -> None:
         """Move every timer that may expire at or before ``limit`` into
         the main heap (via ``push``), cascading coarse slots through
@@ -234,7 +235,7 @@ class TimerWheel:
                     # Within one fine slot of due: the heap orders exactly.
                     event._home = sim
                     self._live -= 1
-                    push((event.time, event.seq, event))
+                    push((event.time, event.seq, None, event))
                 else:
                     # Re-file relative to ``limit``; lands on a strictly
                     # finer level because slot width < LEVEL_SPAN slots

@@ -1,18 +1,24 @@
-"""Engine semantics under the tuple-heap fast path, the compaction
-logic, and the timer wheel.
+"""Engine semantics under the bare-tuple heap fast path and the timer
+wheel.
 
-The contract being pinned down: ``schedule_timer`` (hierarchical wheel)
-and ``schedule`` (main heap) are bit-for-bit interchangeable — same
-``(time, seq)`` firing order, same counters — and cancellation hygiene
-(compaction, sweeps) never changes observable behaviour.
+The contract being pinned down: ``schedule_timer`` (hierarchical wheel,
+cancellable handle) and ``schedule`` (main heap, fire-and-forget) are
+bit-for-bit interchangeable in firing order — same ``(time, seq)``
+positions, same counters — and cancellation hygiene (wheel sweeps,
+dead promoted timers) never changes observable behaviour.
 """
 
 import random
 
 import pytest
 
-from repro.sim.engine import COMPACT_MIN, SimulationError, Simulator
+from repro.bench.enginebench import SeedSimulator
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.timerwheel import LEVEL_SHIFTS
+
+#: Beyond every wheel level's horizon: a timer this far out is armed
+#: straight into the main heap (heap-resident from the start).
+BEYOND_WHEEL = 1 << (LEVEL_SHIFTS[-1] + 10)
 
 
 class TestFastPathSemantics:
@@ -53,8 +59,8 @@ class TestFastPathSemantics:
 
     def test_cancel_is_idempotent_in_counters(self):
         sim = Simulator()
-        event = sim.schedule(10, lambda: None)
-        timer = sim.schedule_timer(10, lambda: None)
+        event = sim.schedule_timer(BEYOND_WHEEL, lambda: None)  # heap
+        timer = sim.schedule_timer(10, lambda: None)  # wheel
         for _ in range(3):
             event.cancel()
             timer.cancel()
@@ -62,7 +68,7 @@ class TestFastPathSemantics:
 
     def test_cancel_after_fire_is_a_noop(self):
         sim = Simulator()
-        event = sim.schedule(10, lambda: None)
+        event = sim.schedule_timer(10, lambda: None)
         sim.run_until_idle()
         event.cancel()  # must not corrupt the pending counter
         assert sim.pending_events() == 0
@@ -70,39 +76,6 @@ class TestFastPathSemantics:
 
 
 class TestCompaction:
-    def test_cancellation_survives_compaction(self):
-        """Mass-cancel far past the compaction threshold; survivors
-        still fire, in order, exactly once."""
-        sim = Simulator()
-        fired = []
-        events = [sim.schedule(1_000 + i, fired.append, i)
-                  for i in range(10 * COMPACT_MIN)]
-        for event in events[: 8 * COMPACT_MIN]:
-            event.cancel()  # triggers repeated in-place compaction
-        for event in events[: 8 * COMPACT_MIN]:
-            event.cancel()  # double-cancel across a compaction boundary
-        assert sim.pending_events() == 2 * COMPACT_MIN
-        sim.run_until_idle()
-        assert fired == list(range(8 * COMPACT_MIN, 10 * COMPACT_MIN))
-        assert sim.events_fired == 2 * COMPACT_MIN
-
-    def test_compaction_during_run_keeps_queue_identity(self):
-        """Cancelling from inside a callback (the requester pattern)
-        while the run loop holds its hoisted queue reference."""
-        sim = Simulator()
-        fired = []
-        victims = [sim.schedule(5_000 + i, fired.append, -i)
-                   for i in range(4 * COMPACT_MIN)]
-
-        def massacre():
-            for victim in victims:
-                victim.cancel()
-
-        sim.schedule(1, massacre)
-        sim.schedule(10_000, fired.append, "survivor")
-        sim.run_until_idle()
-        assert fired == ["survivor"]
-
     def test_wheel_sweep_drops_corpses(self):
         """Churned-and-cancelled timers are reclaimed in bulk and the
         surviving timer still fires on time."""
@@ -124,13 +97,16 @@ class TestCompaction:
 class TestAccounting:
     def test_pending_events_is_live_counter(self):
         sim = Simulator()
-        events = [sim.schedule(10 + i, lambda: None) for i in range(5)]
+        for i in range(5):
+            sim.schedule(10 + i, lambda: None)
+        events = [sim.schedule_timer(BEYOND_WHEEL + i, lambda: None)
+                  for i in range(5)]  # heap-resident timers
         timers = [sim.schedule_timer(10_000_000, lambda: None)
                   for _ in range(5)]
-        assert sim.pending_events() == 10
+        assert sim.pending_events() == 15
         events[0].cancel()
         timers[0].cancel()
-        assert sim.pending_events() == 8
+        assert sim.pending_events() == 13
         sim.run_until_idle()
         assert sim.pending_events() == 0
 
@@ -139,7 +115,8 @@ class TestAccounting:
         consume no budget (run/step/events_fired agree)."""
         sim = Simulator()
         fired = []
-        events = [sim.schedule(10 + i, fired.append, i) for i in range(10)]
+        events = [sim.schedule_timer(10 + i, fired.append, i)
+                  for i in range(10)]
         for event in events[:5]:
             event.cancel()
         sim.run(max_events=3)
@@ -152,7 +129,8 @@ class TestAccounting:
     def test_step_and_run_agree_on_events_fired(self):
         def build():
             sim = Simulator()
-            events = [sim.schedule(10 + i, lambda: None) for i in range(8)]
+            events = [sim.schedule_timer(10 + i, lambda: None)
+                      for i in range(8)]
             for event in events[::2]:
                 event.cancel()
             return sim
@@ -175,16 +153,16 @@ class TestAccounting:
             sim.run_until_idle(max_events=100)
 
 
-def _random_script(seed: int, use_wheel: bool):
-    """Drive one simulator with a seeded schedule/cancel/nest script,
-    arming "timers" via the wheel or the heap, and log the firings.
+def _random_script(seed: int, sim):
+    """Drive ``sim`` with a seeded schedule/cancel/nest script — plain
+    events via ``schedule``, cancellable "timers" via ``schedule_timer``
+    — and log the firings.  Only timer handles are ever cancelled.
 
     The script's randomness is consumed in firing order, so two runs
     diverge immediately if ordering differs at all.
     """
     rng = random.Random(seed)
-    sim = Simulator(seed=0)
-    arm = sim.schedule_timer if use_wheel else sim.schedule
+    arm = sim.schedule_timer
     fired = []
     handles = []
 
@@ -202,7 +180,7 @@ def _random_script(seed: int, use_wheel: bool):
         if rng.random() < 0.5:
             handles.append(arm(delay, fire, tag))
         else:
-            handles.append(sim.schedule(delay, fire, tag))
+            sim.schedule(delay, fire, tag)
     sim.run_until_idle()
     return fired
 
@@ -210,9 +188,46 @@ def _random_script(seed: int, use_wheel: bool):
 @pytest.mark.parametrize("seed", range(8))
 def test_timerwheel_heap_equivalence(seed):
     """Property-style: a random schedule/cancel/nest script fires the
-    identical sequence whether timers go through the wheel or the heap."""
-    assert _random_script(seed, use_wheel=True) == \
-        _random_script(seed, use_wheel=False)
+    identical sequence on the engine (timers in the wheel, plain events
+    as bare heap tuples) and on the seed engine's single object heap."""
+    assert _random_script(seed, Simulator(seed=0)) == \
+        _random_script(seed, SeedSimulator(seed=0))
+
+
+def test_plain_events_are_bare_heap_entries():
+    """``schedule``/``at``/``call_soon`` hand back no handle and push the
+    callable itself; a plain event, a promoted timer and a promoted-then-
+    cancelled timer sharing one timestamp still fire in ``seq`` order
+    with exact counters."""
+    sim = Simulator()
+    fired = []
+    log = fired.append
+    assert sim.schedule(1_000, log, "plain") is None       # seq 1
+    timer = sim.timer_at(1_000, log, "timer")               # seq 2
+    doomed = sim.schedule_timer(1_000, log, "doomed")       # seq 3
+    assert sim.at(1_000, log, "at") is None                 # seq 4
+    assert sim.call_soon(log, "soon") is None               # seq 5, t=0
+    assert sorted(entry[:3] for entry in sim._queue) == [
+        (0, 5, log), (1_000, 1, log), (1_000, 4, log)]
+    assert not any(isinstance(item, Event)
+                   for entry in sim._queue for item in entry)
+    assert sim.pending_events() == 5
+
+    assert sim.step()  # fires "soon"; both timers are promoted with it
+    assert fired == ["soon"]
+    promoted = [entry[3] for entry in sim._queue if entry[2] is None]
+    assert len(promoted) == 2
+    assert timer in promoted and doomed in promoted
+    doomed.cancel()
+    doomed.cancel()
+    assert sim.pending_events() == 3
+
+    sim.run()
+    assert fired == ["soon", "plain", "timer", "at"]
+    assert sim.events_fired == 4
+    assert sim.pending_events() == 0
+    assert sim.now == 1_000
+    assert not timer.pending and not doomed.pending
 
 
 def test_wheel_promotion_is_exact_far_future():

@@ -45,7 +45,7 @@ class TestScheduling:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        event = sim.schedule(10, fired.append, 1)
+        event = sim.schedule_timer(10, fired.append, 1)
         event.cancel()
         sim.run_until_idle()
         assert fired == []

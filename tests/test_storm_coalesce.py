@@ -276,22 +276,36 @@ class TestEngineProbes:
 
     def test_quiet_until_skips_cancelled(self):
         sim = Simulator()
-        event = sim.schedule(100, lambda: None)
-        event.cancel()
+        wheeled = sim.schedule_timer(100, lambda: None)
+        wheeled.cancel()
         assert sim.quiet_until(1000)
+        # A timer promoted into the heap, then cancelled: its dead entry
+        # is popped in passing.
+        sim.call_soon(lambda: None)
+        promoted = sim.schedule_timer(100, lambda: None)
+        assert sim.step()
+        assert any(entry[3] is promoted for entry in sim._queue)
+        promoted.cancel()
+        assert sim.quiet_until(1000)
+        assert sim._queue == []
 
     def test_live_events_until_heap_and_wheel(self):
         sim = Simulator()
-        near = sim.schedule(100, lambda: None)
+
+        def near_fn():
+            pass
+
+        sim.schedule(100, near_fn)  # plain heap entry, seq 1
         far = sim.schedule_timer(500_000, lambda: None)  # wheel-resident
         beyond = sim.schedule_timer(5_000_000, lambda: None)
         found = sim.live_events_until(1_000_000)
-        assert near in found
-        assert far in found
-        assert beyond not in found
+        plain = [(e.time, e.seq, e.fn) for e in found if e is not far]
+        assert plain == [(100, 1, near_fn)]
+        assert any(e is far for e in found)
+        assert not any(e is beyond for e in found)
         far.cancel()
         found = sim.live_events_until(1_000_000)
-        assert found == [near]
+        assert [(e.time, e.seq, e.fn) for e in found] == [(100, 1, near_fn)]
 
     def test_wheel_earliest_until_is_exact(self):
         sim = Simulator()
