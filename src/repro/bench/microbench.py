@@ -97,12 +97,14 @@ class MicrobenchConfig:
     post_overhead_ns: int = 300
     #: Steady-state storm coalescing, the one fast-path knob:
     #: fast-forward provably-periodic retransmission rounds as
-    #: macro-events (blind, joint and RNR rounds, plus fleet sweeps of
-    #: whole tick horizons when ``integrity`` is off).  Exact by
-    #: construction — every reported metric is bit-identical with it
-    #: off, which is the per-packet reference path — so it defaults on;
-    #: it self-disables per QP pair whenever a capture tap or loss rule
-    #: is armed for that traffic.
+    #: macro-events (blind and joint rounds, plus fleet sweeps of whole
+    #: tick horizons when ``integrity`` is off).  Exact by construction
+    #: — every reported metric is bit-identical with it off, which is
+    #: the per-packet reference path — so it defaults on; it
+    #: self-disables per QP pair whenever a raw packet tap (one without
+    #: a synthetic-row sink) or a loss rule is armed for that traffic.
+    #: A :class:`~repro.capture.sniffer.Sniffer` does not: it takes
+    #: synthetic rows for coalesced rounds.
     coalesce: bool = True
     #: ODP-pitfall countermeasure strategy, by registry name (see
     #: :mod:`repro.mitigate`).  ``"none"`` (the default) resolves to no

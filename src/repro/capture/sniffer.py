@@ -75,21 +75,18 @@ class Sniffer:
     ``capacity`` bounds the buffer: when set, the ring wraps and only the
     newest ``capacity`` packets are kept (``dropped`` counts the rest) —
     the way a fixed-size ibdump ring would behave on a long run.
+
+    Storm rounds the simulator fast-forwards arrive as bulk-synthesised
+    rows through :meth:`bulk_append`, identical to the records the
+    per-packet tap would have produced, so attaching a sniffer never
+    moves the traffic it watches onto the per-packet path.
     """
 
     def __init__(self, network: "Network", lid: Optional[int] = None,
-                 capacity: Optional[int] = None,
-                 synthetic_ok: bool = False):
+                 capacity: Optional[int] = None):
         self.network = network
         self.lid = lid
         self.capacity = capacity
-        #: When True, this sniffer accepts bulk-synthesised rows for
-        #: storm rounds the simulator fast-forwards (it still records
-        #: every packet, just via :meth:`bulk_append` instead of the
-        #: per-packet tap).  When False — the default — merely being
-        #: attached forces the traffic this sniffer observes onto the
-        #: real per-packet path.
-        self.synthetic_ok = synthetic_ok
         #: Packets that fell off the front of a bounded ring.
         self.dropped = 0
         self._slots: List[Optional[Tuple]] = []
@@ -107,8 +104,7 @@ class Sniffer:
             self.network.add_tap(
                 self._tap,
                 lids=None if self.lid is None else (self.lid,),
-                synthetic_sink=self.bulk_append if self.synthetic_ok
-                else None)
+                synthetic_sink=self.bulk_append)
             self._attached = True
 
     def detach(self) -> None:

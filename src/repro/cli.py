@@ -160,7 +160,7 @@ def _trace(fast: bool, seed: int, jobs=None) -> str:
     run_microbench(
         _damming_config(seed, telemetry=tel),
         on_cluster=lambda cluster: sniffers.append(
-            Sniffer(cluster.network, synthetic_ok=True)))
+            Sniffer(cluster.network)))
     json_path, pcap_path = "trace_fig04.json", "capture_fig04.pcap"
     events = tel.write_chrome_trace(json_path)
     frames = export.write_pcap(pcap_path, sniffers[0].records)

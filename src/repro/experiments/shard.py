@@ -407,9 +407,7 @@ def _run_group(spec: GroupSpec, base_config, collect: FrozenSet[str],
         clusters.append(cluster)
         if COLLECT_CAPTURE in collect or COLLECT_RECORDS in collect:
             from repro.capture.sniffer import Sniffer
-            # synthetic_ok: coalesced/fleet rounds still yield rows and
-            # the capture does not force the per-packet path.
-            sniffer = Sniffer(cluster.network, synthetic_ok=True)
+            sniffer = Sniffer(cluster.network)
 
     group_telemetry = None
     if telemetry is None and COLLECT_FINGERPRINT in collect:

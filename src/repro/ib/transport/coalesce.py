@@ -1,12 +1,12 @@
 """Steady-state storm coalescing: closed-form fast-forward of flood rounds.
 
 The packet flood of Section VI is *literally periodic*: a stale QP
-retransmits its READ window every blind tick (client-side ODP) or after
-every RNR delay (server-side ODP), and every packet of the round is
-discarded, duplicated, or NAKed in exactly the same way until the ODP
-status engine finally refreshes the QP's view.  Simulating hundreds of
-simulated seconds of that loop one packet event at a time is what makes
-the fig09 sweep the repository's wall-clock bottleneck; NP-RDMA and
+retransmits its READ window every blind tick (client-side ODP), and
+every packet of the round is discarded or duplicated in exactly the
+same way until the ODP status engine finally refreshes the QP's view.
+Simulating hundreds of simulated seconds of that loop one packet event
+at a time is what makes the fig09 sweep the repository's wall-clock
+bottleneck; NP-RDMA and
 Psistakis et al. model the same fault-service windows in closed form,
 and so can the simulator.
 
@@ -28,8 +28,8 @@ its effects in one macro-event:
   identically;
 * RNG draws are consumed in exactly the order the real round would draw
   them, keeping the shared stream aligned;
-* synthetic capture rows are fed to tap sinks that opted in
-  (``Sniffer(synthetic_ok=True)``).
+* synthetic capture rows are fed to every tap that registered a
+  synthetic sink (every :class:`~repro.capture.sniffer.Sniffer` does).
 
 Eligibility is deliberately strict — the round is only synthesised when
 ``Simulator.quiet_until(span_end)`` proves no other event fires inside
@@ -51,11 +51,13 @@ magnitude cheaper than its per-packet replay rather than merely
 cheaper.
 
 ``RNIC.coalesce`` is the one switch for every tier: single-QP blind
-rounds, joint multi-QP rounds, RNR rounds and fleet sweeps
-(:meth:`StormCoalescer.maybe_fleet`), which absorb a whole horizon of
-sibling blind ticks in one batched flush when payloads are lazy and no
-observer watches the pair.  Off, every round takes the per-packet
-reference path.
+rounds (memoised after the first), joint multi-QP rounds and fleet
+sweeps (:meth:`StormCoalescer.maybe_fleet`), which absorb a whole
+horizon of sibling blind ticks in one batched flush when payloads are
+lazy and no observer watches the pair.  Off, every round takes the
+per-packet reference path.  Server-side RNR recovery rounds (Figure 1,
+left) always replay per packet: each waits out an RNR delay, so they
+are rare next to blind rounds and keep no closed form.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.ib.opcodes import Opcode, Syndrome
-from repro.ib.packets import (AETH_BYTES, BASE_HEADER_BYTES, RETH_BYTES,
+from repro.ib.opcodes import Opcode
+from repro.ib.packets import (BASE_HEADER_BYTES, RETH_BYTES,
                               advance_packet_serials)
 from repro.ib.transport.psn import psn_add, psn_diff
 from repro.ib.transport.responder import Responder
@@ -75,9 +77,8 @@ from repro.sim.engine import Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ib.verbs.qp import QueuePair
 
-#: Wire sizes of the storm's packet kinds.
+#: Wire size of a storm READ request.
 _REQ_WIRE = BASE_HEADER_BYTES + RETH_BYTES
-_NAK_WIRE = BASE_HEADER_BYTES + AETH_BYTES
 
 #: Events a packet costs on the per-packet path: tx drain, uplink
 #: arrival, switch forward, downlink arrival, rx dispatch.
@@ -141,8 +142,6 @@ class StormCoalescer:
         self.sim = qp.rnic.sim
         #: Blind (client-side ODP) rounds applied in closed form.
         self.blind_rounds = 0
-        #: RNR-recovery (server-side ODP) rounds applied in closed form.
-        self.rnr_rounds = 0
         #: Rounds declined by an eligibility check (fell back to the
         #: real per-packet path).
         self.declined_rounds = 0
@@ -167,9 +166,6 @@ class StormCoalescer:
         #: Bookkeeping, like ``joint_rounds``: execution-shape detail,
         #: not a reported metric.
         self.fleet_rounds = 0
-        #: Why fleet sweeps ended, by first failed check (diagnostics,
-        #: like ``decline_reasons``).
-        self.fleet_breaks: Dict[str, int] = {}
         #: Set when this QP's own tick just replayed its memo with the
         #: links idle — the precondition for :meth:`maybe_fleet` to
         #: sweep the upcoming horizon.
@@ -181,27 +177,11 @@ class StormCoalescer:
         #: Memoised :meth:`_storm_links` result — link ends are created
         #: at topology build and never replaced, so the lookup is pure.
         self._links_cache: Optional[Tuple] = None
-        #: Set when a seeded fleet sweep absorbed the currently firing
-        #: tick itself (round, re-arm draw, wheel re-arm):
-        #: ``_blind_retransmit`` consumes it and skips its own tail.
-        self._self_swept = False
-        #: Ticks of this QP absorbed as sweep seeds (diagnostics, like
-        #: ``fleet_rounds``), and why seed attempts fell back to the
-        #: per-round replay.
-        self.seed_rounds = 0
-        self.seed_fails: Dict[str, int] = {}
-        #: ``(now, horizon, limit, worklist)`` classified by a seed
-        #: attempt that failed its member checks: the per-round replay
-        #: and the requester's ``maybe_fleet`` re-enter within the same
-        #: event body, so the window survives verbatim — except through
-        #: the joint path, which cancels and re-arms member ticks and
-        #: must invalidate it.
-        self._sweep_cache: Optional[Tuple] = None
 
     @property
     def rounds_coalesced(self) -> int:
         """Total storm rounds applied as macro-events."""
-        return self.blind_rounds + self.rnr_rounds
+        return self.blind_rounds
 
     def note_stall(self, waited_ns: int) -> None:
         """Record a pure damming stall (timeout with no progress)."""
@@ -460,13 +440,6 @@ class StormCoalescer:
         if not head.fault_wait_registered:
             return self._decline("head_not_waiting")
         if cache is not None:
-            if emit is cache.emit and self._fleet(cache):
-                # Seeded sweep: this tick's round, its whole re-arm tail
-                # (period draw included, at its real stream position),
-                # and the upcoming horizon of sibling ticks were applied
-                # in one batched pass; _blind_retransmit consumes
-                # ``_self_swept`` and returns.
-                return True
             applied = self._blind_fast(peer, emit, cache)
             if applied is not None:
                 self._fleet_ready = applied is True
@@ -858,34 +831,17 @@ class StormCoalescer:
         if not self._fleet_ready:
             return
         self._fleet_ready = False
-        self._fleet(None)
-
-    def _fleet(self, seed: Optional[_BlindRound]) -> bool:
-        """The sweep body behind :meth:`maybe_fleet`, optionally seeded.
-
-        With ``seed`` (the firing tick's own validated memo) the sweep
-        absorbs the *current* round as its first member — applying it
-        through the batched template, drawing and scheduling the tick's
-        re-arm at its real stream position — before walking the horizon,
-        so the seed shares the sweep's one bulk flush instead of paying
-        a standalone per-round replay.  Every seed gate failure returns
-        False with no state touched: the caller falls back to
-        :meth:`_blind_fast`, which re-runs the same checks (its one
-        repeated readiness query hits the coordinator's memo cache) and
-        keeps the decline/joint bookkeeping in a single place.  Returns
-        True iff the seed was absorbed.
-        """
         qp = self.qp
         rnic = qp.rnic
         if not rnic.coalesce or rnic.telemetry is not None:
-            return False
+            return
         network = rnic.network
         remote_lid = qp.remote_lid
         peer_rnic = network.devices.get(remote_lid)
         if peer_rnic is None or not peer_rnic.lazy_payloads \
                 or not getattr(peer_rnic, "coalesce", False) \
                 or not network.fleet_allowed(rnic.lid, remote_lid):
-            return False
+            return
         STATE_NORMAL, STATE_ODP_WAIT = _requester_states()
         sim = self.sim
         profile = rnic.profile
@@ -906,7 +862,7 @@ class StormCoalescer:
         if next_transition is not None and next_transition <= horizon:
             horizon = next_transition - 1
         if horizon <= sim.now:
-            return False
+            return
         # Pre-classify the horizon's ready batch: collect the blind
         # ticks, skip provably inert fault-raise timers (they stay
         # pending and fire later as no-ops; requester states are frozen
@@ -918,47 +874,20 @@ class StormCoalescer:
         # within the limit, next tick past the interact end).
         worklist: List[Tuple[int, int, object]] = []
         limit = horizon
-        cached = self._sweep_cache
-        if cached is not None:
-            self._sweep_cache = None
-        if seed is None and cached is not None \
-                and cached[0] == sim.now and cached[1] == horizon:
-            # This follow-up re-enters within the event body whose seed
-            # attempt classified the window: between them the per-round
-            # replay scheduled exactly one event (the tick's own re-arm,
-            # merged here) and cancelled none — the joint path, which
-            # does both, drops the stash on entry — so the classified
-            # window survives verbatim and the ready-batch walk is
-            # skipped.
-            limit = cached[2]
-            worklist = cached[3]
-            rearm = qp.requester._blind_timer  # noqa: SLF001
-            if rearm is not None and not rearm.cancelled \
-                    and rearm.time <= limit:
-                insort(worklist, (rearm.time, rearm.seq, rearm))
-        else:
-            for event in sim.ready_batch(horizon):
-                fn = event.fn
-                name = getattr(fn, "__name__", None)
-                if name == "_blind_retransmit":
-                    worklist.append((event.time, event.seq, event))
+        for event in sim.ready_batch(horizon):
+            fn = event.fn
+            name = getattr(fn, "__name__", None)
+            if name == "_blind_retransmit":
+                worklist.append((event.time, event.seq, event))
+                continue
+            if name == "_do_fault_raise":
+                owner = getattr(fn, "__self__", None)
+                if owner is not None and owner.state != STATE_NORMAL:
                     continue
-                if name == "_do_fault_raise":
-                    owner = getattr(fn, "__self__", None)
-                    if owner is not None and owner.state != STATE_NORMAL:
-                        continue
-                limit = event.time - 1
-                break
-        if seed is not None:
-            # Stash the classified window: on a seed-check failure the
-            # caller replays per-round and ``maybe_fleet`` re-enters at
-            # this same instant (the success tail below retracts this).
-            self._sweep_cache = (sim.now, horizon, limit, worklist)
+            limit = event.time - 1
+            break
         if not worklist:
-            if seed is not None:
-                fails = self.seed_fails
-                fails["empty"] = fails.get("empty", 0) + 1
-            return False
+            return
         odp = rnic.odp
         tgen_now = peer_rnic.translation.generation
         get_peer_qp = peer_rnic._qps.get  # noqa: SLF001
@@ -994,85 +923,7 @@ class StormCoalescer:
         last_t = 0
         busy_floor = max(up_a._busy_until, down_b._busy_until,  # noqa: SLF001
                          up_b._busy_until, down_a._busy_until)  # noqa: SLF001
-        applied_seed = False
-        if seed is not None:
-            # The firing tick's own round, vetted with exactly the
-            # member checks at t = now.  These imply everything
-            # ``_blind_fast`` would verify: idle links (the busy floor),
-            # the page-transition pre-filter and the span walk (span
-            # inside the proven-quiet limit, first pending tick past the
-            # interact end — the pre-scan already excluded every hard
-            # event), so absorbing here is exactly the per-round replay
-            # minus its standalone flush.
-            c = seed
-            req = qp.requester
-            peer_qp = get_peer_qp(qp.remote_qpn)
-            fails = self.seed_fails
-            if (not batched or peer_qp is None or peer_qp is not c.peer_qp
-                    or peer_qp.state is qp_error):
-                fails["peer"] = fails.get("peer", 0) + 1
-                return False
-            resp = peer_qp.responder
-            if resp.epsn != c.epsn or c.tgen != tgen_now:
-                fails["state"] = fails.get("state", 0) + 1
-                return False
-            if busy_floor > now_i:
-                fails["busy"] = fails.get("busy", 0) + 1
-                return False
-            for rkey, rmr in c.mrs:
-                if get_peer_mr(rkey) is not rmr:
-                    fails["state"] = fails.get("state", 0) + 1
-                    return False
-            if now_i + c.rel_span > limit:
-                fails["span"] = fails.get("span", 0) + 1
-                return False
-            if worklist[0][0] <= now_i + c.rel_interact:
-                fails["gap"] = fails.get("gap", 0) + 1
-                return False
-            if range_ready(qp.qpn, c.head_mr, c.head_addr, c.head_chunk):
-                fails["ready"] = fails.get("ready", 0) + 1
-                return False
-            for wqe in c.emit:
-                wqe.resp_received = 0
-            req.retransmitted_packets += c.count
-            req.responses_discarded_odp += 1
-            req._progress_stamp += 1  # noqa: SLF001
-            faulted = resp._faulted_psns  # noqa: SLF001
-            if faulted:
-                for psn in c.psns:
-                    faulted.discard(psn)
-            resp.duplicates_serviced += c.count
-            if c.rel_flaw_until is not None:
-                resp._flaw_drop_until = now_i + c.rel_flaw_until  # noqa: SLF001
-            self.blind_rounds += 1
-            # The tick's tail, replayed here so the sweep owns the whole
-            # event body: period draw (real stream position — before any
-            # member's) and wheel re-arm.
-            if spread > 0:
-                r = getrandbits(jbits)
-                while r >= width:
-                    r = getrandbits(jbits)
-                period = base - spread + r
-                if period < 0:
-                    period = 0
-            else:
-                period = base
-            deadline = now_i + period
-            sim._seq = seq = sim._seq + 1  # noqa: SLF001
-            rearm = Event(deadline, seq, req._blind_retransmit, ())
-            sim._pending += 1  # noqa: SLF001
-            wheel_insert(rearm, now_i)
-            req._blind_timer = rearm  # noqa: SLF001
-            if deadline <= limit:
-                insort(worklist, (deadline, seq, rearm))
-            shape = c.shape_key
-            rbmax = max(c.rel_busy)
-            busy_floor = now_i + rbmax
-            last_t = now_i
-            n_batch = 1
-            applied_seed = True
         absorbed = 0
-        reason = None
         index = 0
         while index < len(worklist):
             t_i, _seq, event = worklist[index]
@@ -1091,22 +942,18 @@ class StormCoalescer:
             mc = member.coalescer
             if (member.rnic is not rnic or member.remote_lid != remote_lid
                     or mc._joint_pending is not None):  # noqa: SLF001
-                reason = "member"
                 break
             c = mc._blind_cache  # noqa: SLF001
             if c is None or not mc._retransmit_matches(c.emit) \
                     or not c.emit[0].fault_wait_registered:
-                reason = "memo"
                 break
             if batched:
                 peer_qp = get_peer_qp(member.remote_qpn)
                 if (peer_qp is None or peer_qp is not c.peer_qp
                         or peer_qp.state is qp_error):
-                    reason = "peer"
                     break
                 resp = peer_qp.responder
                 if resp.epsn != c.epsn or c.tgen != tgen_now:
-                    reason = "state"
                     break
                 stale_mr = False
                 for rkey, rmr in c.mrs:
@@ -1114,30 +961,24 @@ class StormCoalescer:
                         stale_mr = True
                         break
                 if stale_mr:
-                    reason = "state"
                     break
                 if shape is None:
                     shape = c.shape_key
                     rbmax = max(c.rel_busy)
                 elif c.shape_key != shape:
-                    reason = "shape"
                     break
                 if t_i + c.rel_span > limit:
-                    reason = "span"
                     break
                 if t_i < busy_floor:
-                    reason = "busy"
                     break
                 if index < len(worklist) \
                         and worklist[index][0] <= t_i + c.rel_interact:
-                    reason = "gap"
                     break
                 # Same query, same key, same order as the real discard
                 # path (memoisation counters must advance identically);
                 # a ready page ends the storm at this member's tick.
                 if range_ready(member.qpn, c.head_mr,
                                c.head_addr, c.head_chunk):
-                    reason = "ready"
                     break
                 # Per-member effects, straight from the memo.
                 for wqe in c.emit:
@@ -1160,11 +1001,9 @@ class StormCoalescer:
             else:
                 peer = mc._peer()  # noqa: SLF001
                 if peer is None:
-                    reason = "peer"
                     break
                 if mc._blind_fast(peer, c.emit, c, t=t_i,  # noqa: SLF001
                                   fleet_event=event) is not True:
-                    reason = "replay"
                     break
             # Fully absorbed: retire the tick and replay the rest of its
             # body — round counter, period draw (the shared RNG stream
@@ -1226,14 +1065,6 @@ class StormCoalescer:
             advance_packet_serials(total_req + total_resp)
             sim.note_coalesced(shape[8] * n_batch, shape[4] * n_batch)
         self.fleet_rounds += absorbed
-        if reason is not None:
-            breaks = self.fleet_breaks
-            breaks[reason] = breaks.get(reason, 0) + 1
-        if applied_seed:
-            self._self_swept = True
-            self.seed_rounds += 1
-            self._sweep_cache = None
-        return applied_seed
 
     # ------------------------------------------------------------------
     # Joint multi-QP blind rounds
@@ -1433,10 +1264,6 @@ class StormCoalescer:
         the final span that is not a participant's tick (or a tolerated
         tail tick, as in :meth:`_span_clear`) declines the round.
         """
-        # Joint synthesis pre-pays foreign ticks (touching their timer
-        # bookkeeping): any window a failed seed attempt classified is
-        # stale the moment this runs.
-        self._sweep_cache = None
         network, peer_rnic, _peer_qp = peer
         qp = self.qp
         rnic = qp.rnic
@@ -1625,179 +1452,3 @@ class StormCoalescer:
         rows.extend(request_rows[i:])
         rows.extend(response_rows[j:])
         return rows
-
-    # ------------------------------------------------------------------
-    # Type B: server-side ODP RNR-recovery round
-    # ------------------------------------------------------------------
-
-    def coalesce_rnr_round(self) -> bool:
-        """Synthesise one RNR recovery round (Figure 1, left): the READ
-        window replays, the head request finds the server pages still
-        unmapped and earns a delayed RNR NAK, the tail is swallowed by
-        the outstanding sequence-NAK state, and the client re-enters
-        RNR_WAIT.  Called from ``_rnr_recover`` after the state returned
-        to NORMAL; returns True when applied in closed form."""
-        m = self.qp.mitigation
-        if m is not None and not m.coalesce_compatible:
-            return self._decline("mitigation")  # see coalesce_blind_round
-        peer = self._peer()
-        if peer is None:
-            return False
-        network, peer_rnic, peer_qp = peer
-        qp = self.qp
-        if qp.attrs.rnr_retry != 7:
-            # A finite RNR budget counts every NAK of the cycle and can
-            # abort mid-round; the closed form models the retry-forever
-            # steady state only.
-            return self._decline("finite_rnr_retry")
-        rnic = qp.rnic
-        req = qp.requester
-        emit = self._retransmit_set()
-        if not emit:
-            return self._decline("burst_shape")
-        resp = peer_qp.responder
-        if not resp._seq_nak_outstanding:  # noqa: SLF001
-            # The tail of the burst would draw a sequence NAK and a
-            # fast-recovery retransmission: a real, non-periodic round.
-            return self._decline("seq_nak_not_outstanding")
-        head = emit[0]
-        if psn_diff(head.first_psn, resp.epsn) != 0:
-            return self._decline("head_psn")
-        for wqe in emit[1:]:
-            if psn_diff(wqe.first_psn, resp.epsn) <= 0:
-                return self._decline("tail_psn")
-        # Flaw immunity: every PSN must have been seen before, so the
-        # damming window (armed or not) cannot swallow any of them.
-        for wqe in emit:
-            if not resp._seen(wqe.first_psn):  # noqa: SLF001
-                return self._decline("psn_unseen")
-        hw = head.wr
-        length = hw.local.length
-        rmr = resp._validate(hw.remote.rkey, hw.remote.addr,  # noqa: SLF001
-                             length, Access.REMOTE_READ)
-        if rmr is None or not rmr.mode.is_odp:
-            return self._decline("validate")
-        if peer_rnic.odp.responder_range_ready(rmr, hw.remote.addr, length):
-            return self._decline("server_ready")
-        # The repeat fault must coalesce into already-pending driver
-        # faults (pure counter bump), or the round has real side effects.
-        driver = peer_rnic.driver
-        pending = driver._pending  # noqa: SLF001
-        missing = list(peer_rnic.translation.missing_pages(
-            rmr, hw.remote.addr, length))
-        if not missing or any((rmr.handle, page) not in pending
-                              for page in missing):
-            return self._decline("faults_not_pending")
-        # Closed-form cascade timing: W requests out, one delayed NAK back.
-        sim = self.sim
-        t = sim.now
-        count = len(emit)
-        up_a, down_b, up_b, down_a = self._storm_links(network, peer_rnic)
-        forward_ns = network.switch.forward_ns
-        req_drains, req_disp, up_a_busy, down_b_busy = self._through_fabric(
-            [t] * count, [_REQ_WIRE] * count, rnic.profile.tx_proc_ns,
-            up_a, down_b, forward_ns, peer_rnic.profile.rx_proc_ns)
-        nak_enq = req_disp[0] + peer_rnic.profile.odp_fault_nak_delay_ns
-        nak_drains, nak_disp, up_b_busy, down_a_busy = self._through_fabric(
-            [nak_enq], [_NAK_WIRE], peer_rnic.profile.tx_proc_ns,
-            up_b, down_a, forward_ns, rnic.profile.rx_proc_ns)
-        nak_at = nak_disp[0]
-        span_end = max(req_disp[-1], nak_at)
-        next_transition = rnic.odp.next_transition_at()
-        if next_transition is not None and next_transition <= span_end:
-            return self._decline("page_transition")
-        if not sim.quiet_until(span_end):
-            return self._decline("not_quiet")
-        # The real round arms a transport timeout at t and cancels it
-        # when the NAK lands; its expiry must provably clear the span
-        # for every possible draw — checked *before* consuming the draw.
-        profile = rnic.profile
-        sample_timeout = qp.attrs.cack != 0
-        if sample_timeout:
-            base = round(profile.detection_timeout_ns(qp.attrs.cack)
-                         * rnic.load_stretch())
-            spread = int(base * profile.timeout_jitter)
-            earliest_fire = t + (base - spread if spread > 0 else base)
-            if earliest_fire <= span_end:
-                return self._decline("timeout_in_span")
-
-        # --- Apply ---
-        for wqe in emit:
-            wqe.resp_received = 0
-        req.retransmitted_packets += count
-        # RNG draws in real order: timeout jitter at recovery time...
-        req._cancel_timer()  # noqa: SLF001
-        if sample_timeout:
-            req._sample_timeout()  # noqa: SLF001 - timer cancelled at the NAK
-        client_stats = rnic.stats
-        client_stats["tx_packets"] += count
-        client_stats["tx_retransmissions"] += count
-        client_stats["rx_packets"] += 1
-        server_stats = peer_rnic.stats
-        server_stats["rx_packets"] += count
-        server_stats["tx_packets"] += 1
-        for wqe in emit:
-            resp._note_seen(wqe.first_psn)  # noqa: SLF001
-        peer_rnic.odp.responder_raise_faults(rmr, hw.remote.addr, length)
-        resp._faulted_psns.add(head.first_psn)  # noqa: SLF001
-        resp.rnr_naks_sent += 1
-        server_stats["rnr_naks"] += 1
-        # Synthetic trace rows at exactly the timestamps the real round
-        # would have produced: _send_rnr_nak runs when the replayed head
-        # reaches the responder (req_disp[0]; the NAK packet itself is
-        # delayed further), _on_rnr_nak when the NAK lands (nak_at).
-        # quiet_until(span_end) above proves nothing else can interleave,
-        # so ring order matches the per-packet execution too.
-        peer_tel = peer_rnic.telemetry
-        if peer_tel is not None:
-            peer_tel.instant(req_disp[0], "rnr.nak_sent", peer_rnic.lid,
-                             qp.remote_qpn, head.first_psn)
-        # ...then the RNR delay jitter when the NAK reaches the client.
-        req.rnr_naks_received += 1
-        tel = rnic.telemetry
-        if tel is not None:
-            tel.instant(nak_at, "rnr.nak_recv", rnic.lid, qp.qpn,
-                        head.first_psn)
-        from repro.ib.transport.requester import STATE_RNR_WAIT
-        req.state = STATE_RNR_WAIT
-        configured = (peer_qp.attrs.min_rnr_timer_ns
-                      or qp.attrs.min_rnr_timer_ns)
-        delay = sim.jitter(profile.actual_rnr_delay_ns(configured),
-                           profile.rnr_delay_jitter)
-        req._rnr_timer = sim.schedule_timer(  # noqa: SLF001
-            nak_at + delay - t, req._rnr_recover)  # noqa: SLF001
-        req_bytes = count * _REQ_WIRE
-        port_a = network.stats[rnic.lid]
-        port_b = network.stats[peer_rnic.lid]
-        port_a.tx_packets += count
-        port_a.tx_bytes += req_bytes
-        port_a.rx_packets += 1
-        port_a.rx_bytes += _NAK_WIRE
-        port_b.tx_packets += 1
-        port_b.tx_bytes += _NAK_WIRE
-        port_b.rx_packets += count
-        port_b.rx_bytes += req_bytes
-        up_a.bulk_occupy(count, req_bytes, up_a_busy)
-        down_b.bulk_occupy(count, req_bytes, down_b_busy)
-        up_b.bulk_occupy(1, _NAK_WIRE, up_b_busy)
-        down_a.bulk_occupy(1, _NAK_WIRE, down_a_busy)
-        network.switch.forwarded += count + 1
-        advance_packet_serials(count + 1)
-        sinks = network.synthetic_sinks(rnic.lid, peer_rnic.lid)
-        if sinks:
-            rows = [(when, rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn,
-                     Opcode.RDMA_READ_REQUEST, wqe.first_psn, 0, None, True)
-                    for when, wqe in zip(req_drains, emit)]
-            nak_row = (nak_drains[0], qp.remote_lid, rnic.lid, qp.remote_qpn,
-                       qp.qpn, Opcode.ACKNOWLEDGE, head.first_psn, 0,
-                       Syndrome.RNR_NAK, False)
-            merged = [row for row in rows if row[0] <= nak_row[0]]
-            merged.append(nak_row)
-            merged.extend(row for row in rows if row[0] > nak_row[0])
-            for sink in sinks:
-                sink(merged)
-        # The NAK's delayed _send_response event plus five hops for it,
-        # five per request — the synthesised RNR timer is real either way.
-        sim.note_coalesced(_EVENTS_PER_PACKET * count + 6, span_end - t)
-        self.rnr_rounds += 1
-        return True

@@ -485,14 +485,10 @@ class Requester:
         if self.state != STATE_RNR_WAIT:
             return
         self.state = STATE_NORMAL
-        # Traced before the coalesce decision: this tick fires at the
-        # same timestamp whether the round is replayed or synthesised.
         tel = self.qp.rnic.telemetry
         if tel is not None:
             tel.instant(self.sim.now, "storm.rnr_round", self.qp.rnic.lid,
                         self.qp.qpn, self.rnr_naks_received)
-        if self.qp.coalescer.coalesce_rnr_round():
-            return  # the whole replay->NAK->RNR_WAIT cycle was synthesised
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
 
@@ -559,7 +555,8 @@ class Requester:
         if self.state != STATE_ODP_WAIT:
             return
         self.blind_retransmit_rounds += 1
-        # Traced before the coalesce decision (see _rnr_recover).
+        # Traced before the coalesce decision: this tick fires at the
+        # same timestamp whether the round is replayed or synthesised.
         tel = self.qp.rnic.telemetry
         if tel is not None:
             tel.instant(self.sim.now, "storm.blind_round", self.qp.rnic.lid,
@@ -567,12 +564,6 @@ class Requester:
         coalescer = self.qp.coalescer
         if not coalescer.coalesce_blind_round():
             self._retransmit_from_oldest()
-        elif coalescer._self_swept:  # noqa: SLF001
-            # A seeded fleet sweep replayed this whole tail already —
-            # round, period draw (same stream position), re-arm,
-            # deadline write-through — and absorbed the horizon with it.
-            coalescer._self_swept = False  # noqa: SLF001
-            return
         period = self._blind_period_ns()
         self._blind_timer = self.sim.schedule_timer(period,
                                                     self._blind_retransmit)

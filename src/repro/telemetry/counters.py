@@ -140,7 +140,6 @@ def _collect_qp(reg: CounterRegistry, scope: str, qp) -> None:
     reg.add(scope, "out_of_sequence_nak_sent", resp.seq_naks_sent)
     co = qp.coalescer
     reg.add(scope, "exec.coalesce.blind_rounds", co.blind_rounds)
-    reg.add(scope, "exec.coalesce.rnr_rounds", co.rnr_rounds)
     reg.add(scope, "exec.coalesce.joint_rounds", co.joint_rounds)
     reg.add(scope, "exec.coalesce.declined_rounds", co.declined_rounds)
     # Damming stalls fast-forwarded by the event engine: the requester

@@ -145,7 +145,7 @@ def run_telemetry_smoke(seed: int = 0, fast: bool = True) -> str:
     run_microbench(
         _damming_config(seed),
         on_cluster=lambda cluster: sniffers.append(
-            Sniffer(cluster.network, synthetic_ok=True)))
+            Sniffer(cluster.network)))
     frames = _validate_pcap(sniffers[0].records)
     lines.append(f"pcap: ok ({frames} frames round-tripped)")
 

@@ -14,7 +14,7 @@ def _captured(config, capacity=None):
     run_microbench(
         config,
         on_cluster=lambda c: sniffers.append(
-            Sniffer(c.network, capacity=capacity, synthetic_ok=True)))
+            Sniffer(c.network, capacity=capacity)))
     return sniffers[0]
 
 

@@ -1,7 +1,7 @@
 """Fleet batched delivery: bit-identity on the former array-core shapes.
 
-Fleet and seeded sweeps were once unlocked by a separate ``arraycore``
-knob; they are now the coalescer's fourth tier behind ``coalesce`` alone.
+Fleet sweeps were once unlocked by a separate ``arraycore`` knob; they
+are now the coalescer's third tier behind ``coalesce`` alone.
 The contract is unchanged — *exact or decline*: a ``coalesce=True`` run
 in the fleet-eligible configuration (lazy payloads, window 1) must report
 every metric bit-identical to the per-packet run.  These tests enforce

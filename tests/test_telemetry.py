@@ -113,7 +113,7 @@ class TestExport:
         run_microbench(
             _damming_config(0, telemetry=tel),
             on_cluster=lambda c: sniffers.append(
-                Sniffer(c.network, synthetic_ok=True)))
+                Sniffer(c.network)))
         return tel, sniffers[0]
 
     def test_chrome_trace_structure(self):
@@ -197,7 +197,7 @@ class TestDiagnosis:
         run_microbench(
             _damming_config(0, telemetry=tel),
             on_cluster=lambda c: sniffers.append(
-                Sniffer(c.network, synthetic_ok=True)))
+                Sniffer(c.network)))
         diag = tel.diagnose()
         assert len(diag.damming) == 1 and not diag.flood
         episode = diag.damming[0]
