@@ -349,17 +349,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail when any workload's fastest "
                              "accelerated-mode wall clock exceeds this "
                              "ceiling")
-    parser.add_argument("--affinity", default=None, metavar="CPUS",
-                        help="pin shard workers to CPUs, taskset-style "
-                             "('0-3,8'); exported as REPRO_AFFINITY; "
-                             "no-op on platforms without "
-                             "sched_setaffinity, never changes results")
     args = parser.parse_args(argv)
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be >= 1")
-    if args.affinity is not None:
-        from repro.experiments.runner import set_affinity_env
-        set_affinity_env(args.affinity)
 
     if args.shard_smoke:
         mode = "shard-smoke"

@@ -31,7 +31,7 @@ each point's measured counts with ``(1, N)``; ``--check
 BENCH_tab13.json`` fails when the decomposition speedup regresses more
 than 30% below the committed report or bit-identity breaks
 (:func:`repro.bench.scalebench.check_report` — same gate, same
-schema); ``--affinity`` pins shard workers to CPUs.
+schema).
 """
 
 from __future__ import annotations
@@ -164,17 +164,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=None,
                         help="fail when any point's fastest sharded wall "
                              "clock exceeds this ceiling")
-    parser.add_argument("--affinity", default=None, metavar="CPUS",
-                        help="pin shard workers to CPUs, taskset-style "
-                             "('0-3,8'); exported as REPRO_AFFINITY; "
-                             "no-op on platforms without "
-                             "sched_setaffinity, never changes results")
     args = parser.parse_args(argv)
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be >= 1")
-    if args.affinity is not None:
-        from repro.experiments.runner import set_affinity_env
-        set_affinity_env(args.affinity)
 
     report = {
         "bench": "repro.bench.tab13bench",

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list
     python -m repro fig04 [--fast] [--seed 1]
-    python -m repro fig09 --fast --jobs 8 --chunksize 2
+    python -m repro fig09 --fast --jobs 8
     python -m repro all --fast
     python -m repro bench --check-all
 """
@@ -307,12 +307,6 @@ def main(argv: List[str] = None) -> int:
                              "experiments (default: all usable cores; "
                              "REPRO_SERIAL=1 forces serial); results "
                              "are bit-identical at any job count")
-    parser.add_argument("--chunksize", type=int, default=None, metavar="N",
-                        help="points per worker dispatch for sweep-style "
-                             "experiments (default: auto — a quarter of "
-                             "the per-worker share; REPRO_CHUNKSIZE sets "
-                             "the same knob); results are bit-identical "
-                             "at any chunk size")
     parser.add_argument("--qps", type=int, default=None, metavar="N",
                         help="with 'tab13': run the headline scale row — "
                              "one cell at N QPs as a QP-group fleet "
@@ -326,11 +320,6 @@ def main(argv: List[str] = None) -> int:
                         help="worker processes per fleet point for "
                              "fleet-mode tab13/fig09 (results are "
                              "bit-identical at any shard count)")
-    parser.add_argument("--affinity", default=None, metavar="CPUS",
-                        help="pin pool workers to CPUs, taskset-style "
-                             "('0-3,8'); exported as REPRO_AFFINITY; "
-                             "no-op on platforms without "
-                             "sched_setaffinity, never changes results")
     parser.add_argument("--check-all", action="store_true",
                         help="with the 'bench' verb: run every "
                              "benchmark's smoke mode and fail on any "
@@ -341,19 +330,6 @@ def main(argv: List[str] = None) -> int:
                         help="with 'bench --check-all': directory for "
                              "the fresh reports (default: ./bench_ci)")
     args = parser.parse_args(argv)
-
-    if args.chunksize is not None:
-        if args.chunksize < 1:
-            parser.error("--chunksize must be >= 1")
-        # sweep() workers read the knob through resolve_chunksize(); the
-        # environment carries it so every nested figure helper sees it
-        # without threading a parameter through each signature.
-        os.environ["REPRO_CHUNKSIZE"] = str(args.chunksize)
-    if args.affinity is not None:
-        # Same pattern as --chunksize: the environment carries the knob
-        # to every pool the invocation creates.
-        from repro.experiments.runner import set_affinity_env
-        set_affinity_env(args.affinity)
 
     if args.experiment == "list":
         for name in EXPERIMENTS:

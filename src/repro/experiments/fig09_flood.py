@@ -17,12 +17,12 @@ per point); ``scale`` divides the operation count, preserving shapes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
-from repro.experiments.scheduler import FleetTask, PointTask, run_schedule
+from repro.experiments.runner import sweep
+from repro.experiments.shard import run_fleet
 from repro.report import ascii_chart, format_table
 from repro.sim.timebase import MS
 
@@ -106,17 +106,26 @@ class Figure9Result:
 
 
 def _measure_point(point) -> Figure9Point:
-    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe)."""
-    mode, num_qps, size, num_ops, cack, seed, mitigation = point
-    run = run_microbench(MicrobenchConfig(
+    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe).
+
+    A cell split into several QP groups runs as a fleet through
+    :func:`run_fleet`; inside a pool worker its groups run in-process.
+    """
+    (mode, num_qps, size, num_ops, cack, seed, mitigation,
+     groups, shards) = point
+    config = MicrobenchConfig(
         size=size, num_ops=num_ops,
         num_qps=min(num_qps, num_ops),
         odp=mode, cack=cack,
         min_rnr_timer_ns=round(1.28 * MS),
         # The flood sweep moves millions of packets; lazy payloads skip
         # the byte copies without changing any reported metric.
-        integrity=False, mitigation=mitigation,
-        seed=point_seed(seed, mode, num_qps)))
+        integrity=False, mitigation=mitigation, num_groups=groups,
+        seed=point_seed(seed, mode, num_qps))
+    if groups > 1:
+        run = run_fleet(config, shards=shards).result
+    else:
+        run = run_microbench(config)
     return Figure9Point(
         num_qps=num_qps,
         execution_s=run.execution_time_s,
@@ -136,17 +145,6 @@ def effective_groups(requested: int, num_qps: int, num_ops: int) -> int:
     return 1
 
 
-def _fleet_to_point(num_qps: int, fleet) -> Figure9Point:
-    """Wrap a merged fleet run as this grid cell's Figure9Point."""
-    result = fleet.result
-    return Figure9Point(
-        num_qps=num_qps,
-        execution_s=result.execution_time_s,
-        packets=result.total_packets,
-        timeouts=result.timeouts,
-        blind_retransmits=result.blind_retransmit_rounds)
-
-
 def run_figure9(qps_values: Optional[List[int]] = None,
                 modes: Optional[List[OdpSetup]] = None,
                 scale: int = 4, seed: int = 0,
@@ -163,11 +161,10 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     dominate the much shorter scaled executions; pass ``cack=18``
     explicitly for paper-exact parameters.
 
-    The grid runs through the two-level scheduler: cells are weighted
-    by QP count and submitted heaviest first, so the expensive
-    many-QP flood cells start before the cheap baselines backfill.
-    ``processes`` sizes the pool (every point owns its seed, so results
-    are bit-identical to a serial run for any value).
+    The grid is swept weighted by QP count, heaviest first, so the
+    expensive many-QP flood cells start before the cheap baselines
+    backfill.  ``processes`` sizes the pool (every point owns its seed,
+    so results are bit-identical to a serial run for any value).
 
     ``mitigation`` names a countermeasure strategy from
     :mod:`repro.mitigate`; it rides the point/fleet configs like any
@@ -175,13 +172,13 @@ def run_figure9(qps_values: Optional[List[int]] = None,
 
     ``num_groups > 1`` additionally *shards* each cell big enough to
     split: the cell becomes a QP-group fleet (largest group count <=
-    ``num_groups`` that divides its QPs and ops) whose shards are
-    scheduled across idle workers, ``shards`` capping the per-cell
-    fan-out.  Fleet cells are defined over per-group RNG streams, so
-    their numbers form their own family: bit-identical for any shard
-    count or pool width (tested), but not comparable to the
-    ``num_groups=1`` monolithic cells.  The default keeps the classic
-    definition.
+    ``num_groups`` that divides its QPs and ops).  A serial sweep runs
+    it across ``shards`` worker processes; a pooled sweep runs its
+    groups in the cell's own worker.  Fleet cells are defined over
+    per-group RNG streams, so their numbers form their own family:
+    bit-identical for any shard count or pool width (tested), but not
+    comparable to the ``num_groups=1`` monolithic cells.  The default
+    keeps the classic definition.
     """
     qps_list = qps_values if qps_values is not None else \
         [1, 5, 10, 25, 50, 100, 200]
@@ -193,27 +190,17 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     # preserve the paper's 200-page buffer footprint when the operation
     # count shrinks: the flood volume is (QP, page)-pair driven
     size = min(PAPER_SIZE * scale, 2048)
-    tasks = []
+    grid = []
+    weights = []
     for mode in mode_list:
         for num_qps in qps_list:
-            point = (mode, num_qps, size, num_ops, cack, seed, mitigation)
             eff_qps = min(num_qps, num_ops)
             groups = effective_groups(num_groups, eff_qps, num_ops)
-            if groups <= 1:
-                tasks.append(PointTask(_measure_point, point,
-                                       weight=eff_qps))
-                continue
-            config = MicrobenchConfig(
-                size=size, num_ops=num_ops, num_qps=eff_qps,
-                odp=mode, cack=cack,
-                min_rnr_timer_ns=round(1.28 * MS),
-                integrity=False, num_groups=groups,
-                mitigation=mitigation,
-                seed=point_seed(seed, mode, num_qps))
-            tasks.append(FleetTask(
-                config, weight=eff_qps, shards=shards,
-                post=functools.partial(_fleet_to_point, num_qps)))
-    points = run_schedule(tasks, processes=processes)
+            grid.append((mode, num_qps, size, num_ops, cack, seed,
+                         mitigation, groups, shards))
+            weights.append(eff_qps)
+    points = sweep(_measure_point, grid, processes=processes,
+                   weights=weights)
     result = Figure9Result(num_ops=num_ops)
     for index, mode in enumerate(mode_list):
         result.curves[mode] = points[index * len(qps_list):

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from repro.apps.argodsm.benchmark import (ARGO_SYSTEMS, ArgoBenchResult,
                                           DEFAULT_INIT_BYTES,
                                           _run_trial_point)
-from repro.experiments.scheduler import PointTask, run_schedule
+from repro.experiments.runner import sweep
 from repro.report import histogram, summarize
 
 
@@ -59,7 +59,7 @@ class Figure12Result:
 def run_figure12(system: str, trials: int = 100, seed: int = 0,
                  processes: Optional[int] = None) -> Figure12Result:
     """One system's panel: both ODP configurations' trials in a single
-    schedule, so the pool never drains between the two sweeps.
+    sweep, so the pool never drains between the two configurations.
 
     With-ODP trials weigh double — the dammed ones stall through a
     transport timeout and simulate far more fabric traffic — so
@@ -68,15 +68,10 @@ def run_figure12(system: str, trials: int = 100, seed: int = 0,
     its derived seed and the trial lists are bit-identical to the
     serial loops (tested).
     """
-    tasks = [PointTask(_run_trial_point,
-                       (system, False, seed * 100_003 + trial,
-                        DEFAULT_INIT_BYTES), weight=1.0)
-             for trial in range(trials)]
-    tasks += [PointTask(_run_trial_point,
-                        (system, True, seed * 100_003 + trial,
-                         DEFAULT_INIT_BYTES), weight=2.0)
-              for trial in range(trials)]
-    outcomes = run_schedule(tasks, processes=processes)
+    points = [(system, odp, seed * 100_003 + trial, DEFAULT_INIT_BYTES)
+              for odp in (False, True) for trial in range(trials)]
+    outcomes = sweep(_run_trial_point, points, processes=processes,
+                     weights=[1.0] * trials + [2.0] * trials)
     without_odp = ArgoBenchResult(system=system, odp_enabled=False)
     without_odp.trials.extend(outcomes[:trials])
     with_odp = ArgoBenchResult(system=system, odp_enabled=True)

@@ -1,8 +1,8 @@
 """Parallel experiment sweeps.
 
 Every figure is a grid of *independent* simulation points — fig02's
-systems x C_ACK grid, fig09's QP x ODP-mode grid, fig12's 100 trials,
-tab13's 12 cells.  Each point builds its own :class:`Simulator` from its
+systems x C_ACK grid, fig09's QP x ODP-mode grid, fig12's trials,
+tab13's cells.  Each point builds its own :class:`Simulator` from its
 own seed, so points can fan out across worker processes with no shared
 state and **bit-identical** results: :func:`sweep` preserves input
 order and the per-point seeds make a worker's run byte-for-byte the
@@ -13,20 +13,14 @@ Environment knobs:
 * ``REPRO_SERIAL=1`` forces serial execution regardless of arguments
   (useful for debugging and for deterministic timing baselines);
 * ``REPRO_JOBS=N`` sets the default worker count (otherwise the number
-  of usable cores);
-* ``REPRO_CHUNKSIZE=N`` sets the default ``pool.map`` chunk size
-  (otherwise :func:`auto_chunksize`); the ``--chunksize`` flag of
-  ``python -m repro`` pins it for one invocation;
-* ``REPRO_AFFINITY=SPEC`` pins pool workers to CPUs (``"0-3,8"``
-  style); worker ``i`` is pinned to the ``i``-th listed CPU, round
-  robin.  A no-op on platforms without ``os.sched_setaffinity`` and
-  for malformed specs — affinity is a placement hint, never
-  correctness, so it must not be able to fail a run.
+  of usable cores).
 
 Workers must be module-level functions and points picklable tuples —
 ``ProcessPoolExecutor`` ships both to the pool.  Nested sweeps (a sweep
-inside a worker) automatically degrade to serial so a figure that fans
-out trials cannot fork a pool per worker.
+inside a worker) automatically degrade to serial, so a fleet point
+runs its QP groups in its own worker instead of forking a pool there.
+Sweeps also stay serial while a :attr:`Cluster.instrument` hook is
+armed, because pool workers would not inherit it.
 
 Entry points that run several sweeps back to back (the figure CLIs, the
 shard benchmarks) wrap them in :func:`sweep_session` so one worker pool
@@ -35,12 +29,14 @@ is spawned once and reused — results are bit-identical either way.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
+from typing import (Callable, Iterable, Iterator, List, Optional,
+                    Sequence, TypeVar)
+
+from repro.host.cluster import Cluster
 
 Point = TypeVar("Point")
 Result = TypeVar("Result")
@@ -48,18 +44,20 @@ Result = TypeVar("Result")
 #: Set inside pool workers so nested sweep() calls stay serial.
 _IN_WORKER_ENV = "REPRO_IN_SWEEP_WORKER"
 
-#: Environment knob holding the CPU affinity spec for pool workers.
-_AFFINITY_ENV = "REPRO_AFFINITY"
-
 #: The innermost active :func:`sweep_session`, or None.
 _SESSION: Optional["_SweepSession"] = None
 
 
 def serial_forced() -> bool:
-    """True when the environment pins sweeps to serial execution."""
+    """True when sweeps must run serially in this process: under
+    ``REPRO_SERIAL``, inside a pool worker, or while a
+    :attr:`Cluster.instrument` hook is armed (pool workers do not
+    inherit it, so a pooled sweep would run its points unobserved)."""
     if os.environ.get("REPRO_SERIAL", "") not in ("", "0"):
         return True
-    return os.environ.get(_IN_WORKER_ENV, "") == "1"
+    if os.environ.get(_IN_WORKER_ENV, "") == "1":
+        return True
+    return Cluster.instrument is not None
 
 
 def default_jobs() -> int:
@@ -76,147 +74,14 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def parse_affinity(spec: Optional[str]) -> Optional[List[int]]:
-    """Parse an affinity spec like ``"0-3,8"`` into a sorted CPU list.
-
-    Accepts comma-separated CPU ids and inclusive ``a-b`` ranges, in
-    taskset/cpuset syntax.  Returns ``None`` — affinity disabled — for
-    ``None``, empty/whitespace specs, the explicit ``none``/``off``
-    words, and *any* malformed spec: pinning is a placement hint, so a
-    typo must degrade to the unpinned default rather than kill a long
-    sweep at the CLI boundary.  Duplicate ids collapse; an empty range
-    (``"3-1"``) contributes nothing.
-    """
-    if spec is None:
-        return None
-    text = spec.strip().lower()
-    if text in ("", "none", "off"):
-        return None
-    cpus = set()
-    try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "-" in part:
-                lo_text, hi_text = part.split("-", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if lo < 0 or hi < 0:
-                    return None
-                cpus.update(range(lo, hi + 1))
-            else:
-                cpu = int(part)
-                if cpu < 0:
-                    return None
-                cpus.add(cpu)
-    except ValueError:
-        return None
-    return sorted(cpus) or None
-
-
-def resolve_affinity(spec: Optional[str] = None) -> Optional[List[int]]:
-    """The CPU list pool workers should pin to, or ``None``.
-
-    An explicit ``spec`` argument wins; otherwise the ``REPRO_AFFINITY``
-    environment knob is consulted.  Both go through
-    :func:`parse_affinity`'s forgiving grammar.
-    """
-    if spec is not None:
-        return parse_affinity(spec)
-    return parse_affinity(os.environ.get(_AFFINITY_ENV))
-
-
-def set_affinity_env(spec: Optional[str]) -> None:
-    """Export an ``--affinity`` CLI value as ``REPRO_AFFINITY`` so pools
-    created anywhere below (sessions, nested helpers, benches) inherit
-    it.  ``None`` leaves the environment untouched; an empty string
-    clears the knob."""
-    if spec is None:
-        return
-    if spec.strip() == "":
-        os.environ.pop(_AFFINITY_ENV, None)
-    else:
-        os.environ[_AFFINITY_ENV] = spec
-
-
-def _mark_worker(cpu_queue=None) -> None:
-    """Pool initializer: tag the process so nested sweeps go serial,
-    and optionally pin it to one CPU.
-
-    ``cpu_queue`` (when affinity is enabled) is preloaded with one CPU
-    id per worker slot; each worker pops its own.  Pinning is strictly
-    best-effort: platforms without ``os.sched_setaffinity`` (macOS,
-    Windows) and CPUs outside the allowed mask fall through to the
-    scheduler's default placement.  Affinity never touches seeds or
-    ordering, so results are bit-identical pinned or not.
-    """
+def _mark_worker() -> None:
+    """Pool initializer: tag the process so nested sweeps go serial."""
     os.environ[_IN_WORKER_ENV] = "1"
-    if cpu_queue is None:
-        return
-    try:
-        cpu = cpu_queue.get_nowait()
-    except Exception:
-        return
-    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except (OSError, ValueError):
-        pass
 
 
 def _make_pool(workers: int) -> ProcessPoolExecutor:
-    """Build a worker pool, honouring the ``REPRO_AFFINITY`` knob.
-
-    With affinity enabled, worker ``i`` pins to the ``i``-th listed CPU
-    (round robin when workers outnumber CPUs) by popping a preloaded
-    queue in its initializer — the executor gives us no per-worker
-    index, but a queue of ids hands each process a distinct slot.
-    """
-    workers = max(1, workers)
-    cpus = resolve_affinity()
-    if not cpus:
-        return ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_mark_worker)
-    queue: "multiprocessing.Queue" = multiprocessing.Queue()
-    for slot in range(workers):
-        queue.put(cpus[slot % len(cpus)])
-    return ProcessPoolExecutor(max_workers=workers,
-                               initializer=_mark_worker,
-                               initargs=(queue,))
-
-
-def auto_chunksize(num_points: int, jobs: int) -> int:
-    """Default ``pool.map`` chunk size: ``max(1, points // (4 * jobs))``.
-
-    One-point chunks maximise balance but pay a pickle round-trip per
-    point, which big uniform grids (fig12's 100 trials, wide fig09
-    sweeps) feel.  Four chunks per worker amortises the dispatch
-    overhead while leaving enough slack for stragglers — the standard
-    batching compromise.  Chunking never changes results (only the
-    grouping of points shipped per IPC message), so the bit-identity
-    guarantee of :func:`sweep` is unaffected.
-    """
-    return max(1, num_points // (4 * jobs))
-
-
-def resolve_chunksize(num_points: int, jobs: int,
-                      chunksize: Optional[int] = None) -> int:
-    """The chunk size a sweep will use: explicit argument first, then
-    the ``REPRO_CHUNKSIZE`` environment knob, then
-    :func:`auto_chunksize`.  Values are clamped to >= 1; a malformed
-    environment value is ignored rather than fatal (the knob is a
-    tuning hint, not configuration).
-    """
-    if chunksize is not None:
-        return max(1, int(chunksize))
-    env = os.environ.get("REPRO_CHUNKSIZE")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return auto_chunksize(num_points, jobs)
+    return ProcessPoolExecutor(max_workers=max(1, workers),
+                               initializer=_mark_worker)
 
 
 class _SweepSession:
@@ -312,9 +177,7 @@ def sweep_session(processes: Optional[int] = None
 
 def sweep(fn: Callable[[Point], Result], points: Iterable[Point],
           processes: Optional[int] = None,
-          chunksize: Optional[int] = None,
-          progress: Optional[Callable[[int, int], None]] = None
-          ) -> List[Result]:
+          weights: Optional[Sequence[float]] = None) -> List[Result]:
     """Run ``fn`` over every point, in order, possibly across processes.
 
     Results come back in input order whatever the completion order, and
@@ -323,46 +186,33 @@ def sweep(fn: Callable[[Point], Result], points: Iterable[Point],
     enforces this bit-for-bit.
 
     ``processes=None`` uses :func:`default_jobs`; ``processes<=1``, a
-    single point, or ``REPRO_SERIAL=1`` short-circuit to the plain
-    serial loop (no pool, no pickling).  ``chunksize=None`` defers to
-    :func:`resolve_chunksize` (``REPRO_CHUNKSIZE``, then
-    :func:`auto_chunksize`); pass an explicit value to override both.
-
-    ``progress``, when given, is called as ``progress(done, total)``
-    after each point's result is in hand — in input order on the serial
-    path and in ``pool.map``'s in-order delivery on the parallel path —
-    so long ``--jobs`` sweeps can report completion (e.g. as telemetry
-    instants via :meth:`repro.telemetry.Telemetry.progress`) without
-    changing results: the callback runs in the parent process and never
-    touches the points or their outputs.
+    single point, or :func:`serial_forced` short-circuit to the plain
+    serial loop (no pool, no pickling).  Otherwise every point is
+    submitted to the session pool (or a fresh one) heaviest first by
+    ``weights`` — a relative cost per point, QP count being the usual
+    choice — with ties broken by input order, so the points most likely
+    to straggle start first and light ones backfill.  Weights only move
+    wall-clock, never results.
     """
     todo = list(points)
     jobs = default_jobs() if processes is None else max(1, int(processes))
     jobs = min(jobs, len(todo))
-    total = len(todo)
     if jobs <= 1 or serial_forced():
-        results: List[Result] = []
-        for point in todo:
-            results.append(fn(point))
-            if progress is not None:
-                progress(len(results), total)
-        return results
-    chunksize = resolve_chunksize(len(todo), jobs, chunksize)
+        return [fn(point) for point in todo]
+    order = range(len(todo))
+    if weights is not None:
+        order = sorted(order, key=lambda i: (-weights[i], i))
     if _SESSION is not None:
-        pool = _SESSION.executor(jobs)
         _SESSION.pooled_sweeps += 1
-        return _consume(pool, fn, todo, chunksize, progress, total)
+        return _submit(_SESSION.executor(jobs), fn, todo, order)
     with _make_pool(jobs) as pool:
-        return _consume(pool, fn, todo, chunksize, progress, total)
+        return _submit(pool, fn, todo, order)
 
 
-def _consume(pool: ProcessPoolExecutor, fn, todo, chunksize: int,
-             progress, total: int) -> List:
-    """Drain one ``pool.map`` in input order, reporting progress."""
-    if progress is None:
-        return list(pool.map(fn, todo, chunksize=chunksize))
-    results: List = []
-    for result in pool.map(fn, todo, chunksize=chunksize):
-        results.append(result)
-        progress(len(results), total)
-    return results
+def _submit(pool: ProcessPoolExecutor, fn, todo: List,
+            order: Iterable[int]) -> List:
+    """Submit ``todo`` in ``order``; collect results in input order."""
+    futures = [None] * len(todo)
+    for index in order:
+        futures[index] = pool.submit(fn, todo[index])
+    return [future.result() for future in futures]

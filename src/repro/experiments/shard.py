@@ -327,8 +327,8 @@ def fleet_hazards(config) -> List[str]:
     Worker subprocesses inherit neither the :attr:`Cluster.instrument`
     hook (chaos smoke gates, invariant monitors) nor an attached
     telemetry session's tracer, so planning around them would silently
-    drop instrumentation — the same contract parallel sweeps already
-    honour by forcing ``REPRO_SERIAL`` for instrumented runs.
+    drop instrumentation — the same rule :func:`runner.serial_forced`
+    applies to every sweep while ``Cluster.instrument`` is armed.
     """
     from repro.host.cluster import Cluster
 
@@ -459,8 +459,8 @@ def run_shard(args: Tuple) -> List[GroupResult]:
     """Worker entry: rebuild and run every group of one shard.
 
     Module-level and fed picklable tuples, as :func:`runner.sweep`
-    requires.  ``args`` is ``(specs, base_config, collect, workload)``;
-    a legacy 3-tuple means the microbench workload.  The workload name
+    requires.  ``args`` is ``(specs, base_config, collect, workload)``,
+    as built by :func:`shard_args`.  The workload name
     resolves through the registry *inside* the worker, so application
     modules (spark) import only where their groups actually run.
     Groups run sequentially in spec order; each builds its own cluster
@@ -468,11 +468,7 @@ def run_shard(args: Tuple) -> List[GroupResult]:
     identical whether its neighbour ran in this process, in another
     worker, or not at all.
     """
-    if len(args) == 3:
-        specs, base_config, collect = args
-        name = "microbench"
-    else:
-        specs, base_config, collect, name = args
+    specs, base_config, collect, name = args
     workload = get_fleet_workload(name)
     return [workload.run_group(spec, base_config, frozenset(collect))
             for spec in specs]
@@ -613,8 +609,8 @@ def _check_collect(collect: Iterable[str]) -> FrozenSet[str]:
 def plan_fleet(config, shards: Optional[int] = None
                ) -> Tuple[FleetWorkload, List[GroupSpec], ShardPlan]:
     """Resolve a fleet config to (workload, groups, plan) without
-    running anything — the scheduler uses this to weigh and place
-    shard units before submission."""
+    running anything — :func:`run_fleet` and the perfbench shard
+    accounting plan this way before dispatching shards."""
     workload = get_fleet_workload(workload_name(config))
     groups = workload.groups(config)
     requested = int(config.shards if shards is None else shards)
@@ -631,8 +627,8 @@ def merge_fleet(config, group_results: Sequence[GroupResult],
 
     The workload merges its own result type; counters, fingerprints and
     capture artifacts merge identically for every workload.  Shared by
-    :func:`run_fleet` and the two-level scheduler, which collects the
-    same :class:`GroupResult` s through its own placement.
+    :func:`run_fleet` and the perfbench shard accounting, which collects
+    the same :class:`GroupResult` s through its own pool.
     """
     collect_set = _check_collect(collect)
     if workload is None:
@@ -677,9 +673,7 @@ def shard_args(groups: Sequence[GroupSpec], plan: ShardPlan, config,
 
 
 def run_fleet(config, shards: Optional[int] = None,
-              collect: Iterable[str] = (),
-              progress: Optional[Callable[[int, int], None]] = None
-              ) -> FleetResult:
+              collect: Iterable[str] = ()) -> FleetResult:
     """Execute a fleet config across shard workers and merge exactly.
 
     ``shards`` overrides ``config.shards``; 0 means "one worker per
@@ -687,12 +681,8 @@ def run_fleet(config, shards: Optional[int] = None,
     group and merge: ``"counters"``, ``"fingerprint"``, ``"capture"``
     (summaries), ``"records"`` (raw rows; test-sized fleets only).
 
-    ``progress``, when given, is called as ``progress(done, total)`` in
-    the parent process as partial results land: per *shard* on the
-    pooled path (a shard is the unit a worker returns) and per *group*
-    on the in-process fallback — so a 10k-QP fleet reports completion
-    instead of going dark for minutes.  The callback never touches
-    results; runs are bit-identical with or without it.
+    Inside a sweep worker (a grouped fig09 point) or under
+    ``REPRO_SERIAL`` the groups run in-process, one after another.
 
     The merged result is bit-identical for every shard count and every
     ``REPRO_JOBS`` value — each group is a hermetic simulation, so
@@ -706,17 +696,13 @@ def run_fleet(config, shards: Optional[int] = None,
         shard_lists = runner.sweep(run_shard,
                                    shard_args(groups, plan, config,
                                               collect_set),
-                                   processes=len(plan.shards), chunksize=1,
-                                   progress=progress)
+                                   processes=len(plan.shards))
         group_results = [group for shard in shard_lists for group in shard]
     else:
         # In-process fallback: same per-group runs, same merge — the
         # telemetry session (if any) attaches to every group cluster.
         base = dataclasses.replace(config, telemetry=None)
-        group_results = []
-        for spec in groups:
-            group_results.append(workload.run_group(spec, base, collect_set,
-                                                    telemetry=telemetry))
-            if progress is not None:
-                progress(len(group_results), len(groups))
+        group_results = [workload.run_group(spec, base, collect_set,
+                                            telemetry=telemetry)
+                         for spec in groups]
     return merge_fleet(config, group_results, plan, collect_set, workload)

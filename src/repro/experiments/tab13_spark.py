@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from repro.apps.spark.benchmark import SparkCellResult, run_spark_cell
 from repro.apps.spark.workloads import SPARK_CELLS, SparkCell, TIME_SCALE
-from repro.experiments.scheduler import PointTask, run_schedule
+from repro.experiments.runner import sweep
 from repro.report import format_table
 
 
@@ -57,23 +57,23 @@ def run_table13(cells: Optional[List[SparkCell]] = None,
                 processes: Optional[int] = None) -> Table13Result:
     """Run all (or a subset of) Table 13 cells, optionally in parallel.
 
-    Cells go through the two-level scheduler weighted by QP count, so
-    the 2858-QP ABCI cells start before the 210-QP KNL cells backfill
-    — the table's wall-clock is its slowest cell, not its sum.  Cell
-    results are bit-identical to the serial loop for any pool width.
+    Cells are swept weighted by QP count, so the 2858-QP ABCI cells
+    start before the 210-QP KNL cells backfill — the table's
+    wall-clock is its slowest cell, not its sum.  Cell results are
+    bit-identical to the serial loop for any pool width.
     """
     todo = cells if cells is not None else SPARK_CELLS
-    tasks = [PointTask(_measure_cell, (cell, seed), weight=float(cell.qps))
-             for cell in todo]
-    return Table13Result(run_schedule(tasks, processes=processes))
+    return Table13Result(sweep(_measure_cell,
+                               [(cell, seed) for cell in todo],
+                               processes=processes,
+                               weights=[cell.qps for cell in todo]))
 
 
 def run_table13_fleet(qps: int = 10240, num_groups: int = 16,
                       shards: int = 1, seed: int = 0,
                       workload: str = "SparkTC",
                       system: str = "Reedbush-H (2)",
-                      scale: int = 1,
-                      progress=None):
+                      scale: int = 1):
     """The headline scale row: one Table 13 cell at fleet QP counts.
 
     ``python -m repro tab13 --qps 10240 --shards N`` lands here: the
@@ -91,5 +91,4 @@ def run_table13_fleet(qps: int = 10240, num_groups: int = 16,
     config = SparkFleetConfig(workload=workload, system=system, qps=qps,
                               num_groups=num_groups, shards=shards,
                               seed=seed, scale=scale)
-    return run_fleet(config, collect=("counters", "fingerprint"),
-                     progress=progress)
+    return run_fleet(config, collect=("counters", "fingerprint"))

@@ -75,9 +75,9 @@ class Cluster:
     #: Optional process-wide hook called with every freshly built
     #: cluster (before any traffic) — how chaos smoke gates and the
     #: invariant-monitor tests instrument experiment entry points they
-    #: do not construct themselves.  Worker subprocesses of parallel
-    #: sweeps do not inherit it, so instrumented runs should force
-    #: serial execution (``REPRO_SERIAL=1``).
+    #: do not construct themselves.  Worker subprocesses do not inherit
+    #: it, so sweeps and fleets run serially in-process while it is
+    #: armed (``runner.serial_forced``).
     instrument: ClassVar[Optional[Callable[["Cluster"], None]]] = None
 
     def __init__(self, sim: Optional[Simulator] = None,

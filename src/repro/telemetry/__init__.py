@@ -40,7 +40,7 @@ gates both claims).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.host.cluster import Cluster
 from repro.telemetry.counters import (EXEC_PREFIX, CounterRegistry,
@@ -63,17 +63,13 @@ class Telemetry:
     Components get the :class:`EventTracer` itself (one attribute hop on
     the hot path, ``None`` when disabled); the facade keeps the cluster
     list so counters can be harvested on demand and adds host-side
-    conveniences (progress instants, export, diagnosis).
+    conveniences (export, diagnosis).
     """
 
     def __init__(self, capacity: int = 1 << 16, per_qp: bool = True):
         self.tracer = EventTracer(capacity)
         self.per_qp = per_qp
         self.clusters: List[Cluster] = []
-        #: host-side sweep progress, ``(done, total)`` per callback —
-        #: wall-clock ordered, so deliberately *not* part of the traced
-        #: (simulated-time) stream or its fingerprint.
-        self.progress_events: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -115,10 +111,6 @@ class Telemetry:
         """The tracer's stream hash (coalesce on/off must agree)."""
         return self.tracer.fingerprint()
 
-    def progress(self, done: int, total: int) -> None:
-        """Sweep progress callback target (see ``runner.sweep``)."""
-        self.progress_events.append((done, total))
-
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -136,10 +128,9 @@ def telemetry_session(telemetry: Optional[Telemetry] = None,
     """Attach a :class:`Telemetry` to every cluster built in the block.
 
     Chains (never clobbers) any :attr:`Cluster.instrument` hook already
-    installed, and restores it on exit.  Pool workers of parallel sweeps
-    do not inherit the hook, so run instrumented sweeps serially
-    (``REPRO_SERIAL=1`` or ``jobs=1``) — the progress-callback path in
-    ``runner.sweep`` does this check for you.
+    installed, and restores it on exit.  Pool workers do not inherit
+    the hook, so ``runner.sweep`` and ``shard.run_fleet`` run serially
+    in this process while it is armed, and every cluster is observed.
     """
     tel = telemetry if telemetry is not None else Telemetry(capacity)
     previous = Cluster.instrument

@@ -8,11 +8,13 @@ import warnings
 
 import pytest
 
-from repro.bench.microbench import OdpSetup
+from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 from repro.experiments import runner
 from repro.experiments.fig02_timeout import run_figure2
 from repro.experiments.fig09_flood import run_figure9
 from repro.experiments.runner import default_jobs, sweep, sweep_session
+from repro.experiments.shard import run_fleet
+from repro.telemetry import telemetry_session
 
 
 def _square(point):
@@ -192,118 +194,101 @@ def test_fig09_parallel_wall_clock_speedup():
         f"parallel {parallel_s:.1f}s vs serial {serial_s:.1f}s"
 
 
-class TestChunksize:
-    """The dispatch-granularity knob: explicit argument beats the
-    ``REPRO_CHUNKSIZE`` environment, which beats the auto heuristic."""
+class TestWeights:
+    """``weights`` order submission heaviest first; results never move."""
 
-    def test_auto_chunksize_pinned_values(self):
-        # A quarter of the per-worker share, floored at 1.
-        assert runner.auto_chunksize(100, 8) == 3
-        assert runner.auto_chunksize(64, 4) == 4
-        assert runner.auto_chunksize(7, 8) == 1
-        assert runner.auto_chunksize(0, 8) == 1
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "9")
-        assert runner.resolve_chunksize(100, 8, chunksize=5) == 5
-        assert runner.resolve_chunksize(100, 8, chunksize=0) == 1
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "7")
-        assert runner.resolve_chunksize(100, 8) == 7
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-        assert runner.resolve_chunksize(100, 8) == 1
-
-    def test_malformed_env_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "not-a-number")
-        assert runner.resolve_chunksize(100, 8) == 3
-        monkeypatch.delenv("REPRO_CHUNKSIZE")
-        assert runner.resolve_chunksize(100, 8) == 3
-
-    def test_sweep_results_identical_at_any_chunksize(self):
-        points = list(range(17))
+    def test_weights_never_change_results(self):
+        points = list(range(15))
+        weights = [p % 4 for p in points]
         expected = [p * p for p in points]
-        for chunksize in (1, 4, 17, 100):
-            got = sweep(_square, points, processes=2,
-                        chunksize=chunksize)
-            assert got == expected
+        assert sweep(_square, points, processes=1, weights=weights) \
+            == sweep(_square, points, processes=3, weights=weights) \
+            == sweep(_square, points, processes=3) == expected
 
-    def test_cli_chunksize_exports_env(self, monkeypatch):
-        from repro import cli
-        monkeypatch.delenv("REPRO_CHUNKSIZE", raising=False)
-        monkeypatch.setattr(cli, "EXPERIMENTS",
-                            {"noop": lambda fast, seed, jobs: "ok"})
-        assert cli.main(["noop", "--chunksize", "2"]) == 0
-        assert os.environ["REPRO_CHUNKSIZE"] == "2"
+    def test_weighted_sweep_inside_session(self):
+        points = list(range(9))
+        weights = list(reversed(points))
+        with sweep_session() as session:
+            tags = sweep(_tagged, points, processes=2, weights=weights)
+            assert session.pooled_sweeps == 1
+        assert [p for _pid, p in tags] == points
+        assert all(pid != os.getpid() for pid, _p in tags)
 
 
-class TestAffinity:
-    """The CPU-pinning knob: taskset-style parsing with pinned values,
-    and strictly best-effort application — a typo or an unsupported
-    platform degrades to unpinned, never to a failed sweep."""
+def _microbench_point(seed):
+    """A tiny instrumented-run probe: one fresh cluster per point."""
+    run = run_microbench(MicrobenchConfig(size=400, num_ops=8, num_qps=2,
+                                          integrity=False, seed=seed))
+    return run.total_packets
 
-    def test_parse_affinity_pinned_values(self):
-        assert runner.parse_affinity("0-3,8") == [0, 1, 2, 3, 8]
-        assert runner.parse_affinity("0") == [0]
-        assert runner.parse_affinity("2,1,1,2") == [1, 2]
-        assert runner.parse_affinity("1-1") == [1]
 
-    def test_parse_affinity_disabled_forms(self):
-        for spec in (None, "", "   ", "none", "off", "NONE"):
-            assert runner.parse_affinity(spec) is None
+def _fleet_point(seed):
+    """A two-group flood fleet: two group clusters per point."""
+    fleet = run_fleet(MicrobenchConfig(
+        size=400, num_ops=64, num_qps=16, interval_us=0.0,
+        odp=OdpSetup.CLIENT, integrity=False, seed=seed,
+        max_rd_atomic=1, num_groups=2), shards=2)
+    return fleet.result.total_packets
 
-    def test_parse_affinity_malformed_degrades_to_none(self):
-        # Placement hint, not configuration: a typo must not kill a run.
-        for spec in ("x", "0-", "-3", "0,-2", "1..4", "0;1"):
-            assert runner.parse_affinity(spec) is None
-        assert runner.parse_affinity("3-1") is None  # empty range only
 
-    def test_resolve_prefers_argument_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AFFINITY", "0-1")
-        assert runner.resolve_affinity() == [0, 1]
-        assert runner.resolve_affinity("5") == [5]
-        monkeypatch.delenv("REPRO_AFFINITY")
-        assert runner.resolve_affinity() is None
+class TestInstrumentedSweeps:
+    """Pool workers do not inherit ``Cluster.instrument``, so a sweep
+    runs serially while it is armed — observation never drops points."""
 
-    def test_set_affinity_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
-        runner.set_affinity_env(None)
-        assert "REPRO_AFFINITY" not in os.environ
-        runner.set_affinity_env("0-3")
-        assert os.environ["REPRO_AFFINITY"] == "0-3"
-        runner.set_affinity_env("")
-        assert "REPRO_AFFINITY" not in os.environ
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
+    def test_telemetry_session_sees_every_point(self):
+        serial = sweep(_microbench_point, [1, 2, 3, 4], processes=1)
+        with telemetry_session() as tel:
+            watched = sweep(_microbench_point, [1, 2, 3, 4], processes=2)
+        assert len(tel.clusters) == 4
+        assert watched == serial
 
-    def test_pinned_sweep_results_identical(self, monkeypatch):
-        bare = sweep(_square, list(range(12)), processes=3)
-        monkeypatch.setenv("REPRO_AFFINITY", "0")
-        pinned = sweep(_square, list(range(12)), processes=3)
-        assert pinned == bare
+    def test_armed_hook_forces_serial(self):
+        assert not runner.serial_forced()
+        with telemetry_session():
+            assert runner.serial_forced()
+        assert not runner.serial_forced()
 
-    def test_setaffinity_failure_is_swallowed(self, monkeypatch):
-        # CPUs outside the allowed mask raise OSError; the worker must
-        # come up unpinned rather than dead.
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("no sched_setaffinity on this platform")
+    def test_fleet_point_observes_every_group_cluster(self):
+        serial = sweep(_fleet_point, [5, 6], processes=1)
+        with telemetry_session() as tel:
+            with sweep_session() as session:
+                watched = sweep(_fleet_point, [5, 6], processes=2)
+                assert session.pool is None
+        assert watched == serial
+        assert len(tel.clusters) == 4     # 2 points x 2 groups
+        assert tel.counters().get("fabric", "switch_forwarded") > 0
 
-        def explode(pid, cpus):
-            raise OSError("cpu outside mask")
 
-        monkeypatch.setattr(os, "sched_setaffinity", explode)
-        # setenv first so teardown restores the marker's prior state.
-        monkeypatch.setenv(runner._IN_WORKER_ENV, "0")
-        import queue as queue_module
-        cpu_queue = queue_module.Queue()
-        cpu_queue.put(999)
-        runner._mark_worker(cpu_queue)  # must not raise
-        assert os.environ[runner._IN_WORKER_ENV] == "1"
+class TestFigureWiring:
+    """The figure entry points run on the weighted sweep; their outputs must
+    not depend on placement."""
 
-    def test_cli_affinity_exports_env(self, monkeypatch):
-        from repro import cli
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
-        monkeypatch.setattr(cli, "EXPERIMENTS",
-                            {"noop": lambda fast, seed, jobs: "ok"})
-        assert cli.main(["noop", "--affinity", "0-1"]) == 0
-        assert os.environ["REPRO_AFFINITY"] == "0-1"
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
+    def test_tab13_cells_bit_identical(self):
+        from repro.apps.spark.workloads import SPARK_CELLS
+        from repro.experiments.tab13_spark import run_table13
+        cells = [SPARK_CELLS[0], SPARK_CELLS[3]]
+        serial = run_table13(cells=cells, processes=1)
+        parallel = run_table13(cells=cells, processes=4)
+        assert serial.render() == parallel.render()
+
+    def test_fig09_grouped_invariant_across_placement(self):
+        # A grouped fig09 point is *defined* over per-group RNG streams
+        # (a different, equally valid fleet definition — not the
+        # monolithic classic run), so what must hold is placement
+        # invariance: serial, pooled, and sharded all render the same.
+        # The 1-QP cell cannot split, so plain and fleet points mix.
+        kwargs = dict(qps_values=[1, 4, 8], modes=[OdpSetup.CLIENT],
+                      scale=128, seed=3, num_groups=2)
+        serial = run_figure9(processes=1, **kwargs)
+        pooled = run_figure9(processes=4, **kwargs)
+        pooled_sharded = run_figure9(processes=4, shards=2, **kwargs)
+        serial_sharded = run_figure9(processes=1, shards=2, **kwargs)
+        assert serial.render() == pooled.render() \
+            == pooled_sharded.render() == serial_sharded.render()
+
+    def test_fig09_effective_groups_divisor_fallback(self):
+        from repro.experiments.fig09_flood import effective_groups
+        assert effective_groups(4, 64, 256) == 4
+        assert effective_groups(4, 6, 256) == 2   # largest common divisor
+        assert effective_groups(3, 5, 7) == 1     # nothing divides: classic
+        assert effective_groups(1, 64, 256) == 1

@@ -320,34 +320,6 @@ class TestFleetFallbacks:
         assert fleet.plan.requested == 2
 
 
-class TestFleetProgress:
-    """Satellite: ``run_fleet(progress=)`` threads through
-    ``runner.sweep`` so long fleets report completion — per shard on
-    the pooled path, per group on the in-process fallback."""
-
-    def test_pooled_path_reports_per_shard(self):
-        seen = []
-        fleet = run_fleet(_flood_config(shards=2),
-                          progress=lambda done, total:
-                          seen.append((done, total)))
-        shards = len(fleet.plan.shards)
-        assert shards == 2
-        assert seen == [(n + 1, shards) for n in range(shards)]
-
-    def test_fallback_path_reports_per_group(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        seen = []
-        run_fleet(_flood_config(shards=4),
-                  progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(n + 1, 4) for n in range(4)]
-
-    def test_progress_does_not_change_results(self):
-        bare = run_fleet(_flood_config(shards=2))
-        watched = run_fleet(_flood_config(shards=2),
-                            progress=lambda done, total: None)
-        assert _metrics(bare.result) == _metrics(watched.result)
-
-
 class TestChaosTelemetryFallback:
     """Satellite: telemetry AND chaos armed at once.  Both are
     process-wide observers, so the plan must collapse to one in-process

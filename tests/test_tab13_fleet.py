@@ -124,18 +124,13 @@ class TestFleetInvariance:
 class TestEntryPoints:
     def test_run_table13_fleet_wrapper(self):
         from repro.experiments.tab13_spark import run_table13_fleet
-        seen = []
         fleet = run_table13_fleet(qps=128, num_groups=4, shards=2,
-                                  scale=16,
-                                  progress=lambda done, total:
-                                  seen.append((done, total)))
+                                  scale=16)
         direct = run_fleet(_config(), shards=2,
                            collect=("counters", "fingerprint"))
         assert fleet.fingerprint == direct.fingerprint
         assert dataclasses.asdict(fleet.result) \
             == dataclasses.asdict(direct.result)
-        # Per-shard progress from the pooled path.
-        assert seen and seen[-1] == (len(seen), len(seen))
 
     def test_config_replace_keeps_workload_binding(self):
         # The registry key is a class attribute: replace()/pickle must

@@ -10,7 +10,6 @@ import pytest
 from repro.bench.microbench import OdpSetup, run_microbench
 from repro.capture.analyze import detect_damming
 from repro.capture.sniffer import Sniffer
-from repro.experiments.runner import sweep
 from repro.sim.timebase import MS, US
 from repro.telemetry import (EXEC_PREFIX, CounterRegistry, EventTracer,
                              Telemetry, export, telemetry_session)
@@ -234,26 +233,6 @@ class TestDiagnosis:
         diag = tel.diagnose()
         assert diag.clean
         assert "no damming or flood episodes" in diag.render()
-
-
-class TestSweepProgress:
-    def test_progress_callback_preserves_results(self):
-        def square(point):
-            return point * point
-
-        points = list(range(7))
-        calls = []
-        plain = sweep(square, points, processes=1)
-        with_progress = sweep(square, points, processes=1,
-                              progress=lambda done, total:
-                              calls.append((done, total)))
-        assert plain == with_progress == [p * p for p in points]
-        assert calls == [(i + 1, 7) for i in range(7)]
-
-    def test_progress_feeds_telemetry_instants(self):
-        tel = Telemetry()
-        sweep(lambda p: p, [1, 2, 3], processes=1, progress=tel.progress)
-        assert tel.progress_events == [(1, 3), (2, 3), (3, 3)]
 
 
 def test_smoke_gates_pass_end_to_end():
