@@ -257,38 +257,3 @@ class TestInstrumentedSweeps:
         assert watched == serial
         assert len(tel.clusters) == 4     # 2 points x 2 groups
         assert tel.counters().get("fabric", "switch_forwarded") > 0
-
-
-class TestFigureWiring:
-    """The figure entry points run on the weighted sweep; their outputs must
-    not depend on placement."""
-
-    def test_tab13_cells_bit_identical(self):
-        from repro.apps.spark.workloads import SPARK_CELLS
-        from repro.experiments.tab13_spark import run_table13
-        cells = [SPARK_CELLS[0], SPARK_CELLS[3]]
-        serial = run_table13(cells=cells, processes=1)
-        parallel = run_table13(cells=cells, processes=4)
-        assert serial.render() == parallel.render()
-
-    def test_fig09_grouped_invariant_across_placement(self):
-        # A grouped fig09 point is *defined* over per-group RNG streams
-        # (a different, equally valid fleet definition — not the
-        # monolithic classic run), so what must hold is placement
-        # invariance: serial, pooled, and sharded all render the same.
-        # The 1-QP cell cannot split, so plain and fleet points mix.
-        kwargs = dict(qps_values=[1, 4, 8], modes=[OdpSetup.CLIENT],
-                      scale=128, seed=3, num_groups=2)
-        serial = run_figure9(processes=1, **kwargs)
-        pooled = run_figure9(processes=4, **kwargs)
-        pooled_sharded = run_figure9(processes=4, shards=2, **kwargs)
-        serial_sharded = run_figure9(processes=1, shards=2, **kwargs)
-        assert serial.render() == pooled.render() \
-            == pooled_sharded.render() == serial_sharded.render()
-
-    def test_fig09_effective_groups_divisor_fallback(self):
-        from repro.experiments.fig09_flood import effective_groups
-        assert effective_groups(4, 64, 256) == 4
-        assert effective_groups(4, 6, 256) == 2   # largest common divisor
-        assert effective_groups(3, 5, 7) == 1     # nothing divides: classic
-        assert effective_groups(1, 64, 256) == 1

@@ -1,25 +1,23 @@
-"""The two-level scheduler must be invisible: any mix of grid points
-and sharded fleets, any pool width, any completion order — results
-equal the serial loop's bit for bit.  Only wall-clock may move.
+"""The weighted sweep is the figures' scheduler, and it must be invisible:
+any mix of plain points and grouped fleet points, any pool width, any
+weights — results equal the serial loop's bit for bit.  Only wall-clock
+may move.
 """
 
 import dataclasses
+import os
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
-from repro.experiments.scheduler import (FleetTask, PointTask, fleet_widths,
-                                         run_schedule)
-
-
-def _square(point):
-    return point * point
+from repro.experiments.fig09_flood import run_figure9
+from repro.experiments.runner import sweep, sweep_session
+from repro.experiments.shard import run_fleet
 
 
 def _fleet_config(**overrides):
-    """A small sharded flood fleet (fig09-shaped)."""
-    base = dict(size=400, num_ops=256, num_qps=64, interval_us=0.0,
+    """A small grouped flood fleet (fig09-shaped)."""
+    base = dict(size=400, num_ops=128, num_qps=32, interval_us=0.0,
                 odp=OdpSetup.CLIENT, integrity=False, seed=50,
-                max_rd_atomic=1, coalesce=True,
-                num_groups=4)
+                max_rd_atomic=1, coalesce=True, num_groups=2)
     base.update(overrides)
     return MicrobenchConfig(**base)
 
@@ -32,135 +30,52 @@ def _metrics(result):
     return d
 
 
-class TestFleetWidths:
-    """Idle workers deal round-robin to the fleets, heaviest first;
-    explicit ``shards`` pins outright."""
+def _mixed_point(point):
+    """A plain point squares an int; a config point runs its fleet."""
+    if isinstance(point, int):
+        return point * point
+    return _metrics(run_fleet(point).result)
 
-    def test_spare_workers_deal_heaviest_first(self):
-        tasks = [PointTask(_square, 1, weight=1.0),
-                 FleetTask(_fleet_config(), weight=2.0),
-                 PointTask(_square, 2, weight=1.0),
-                 FleetTask(_fleet_config(), weight=5.0)]
-        # 8 jobs, 4 tasks -> 4 spare slots: fleet 3 (heavier) gets the
-        # 1st and 3rd deal, fleet 1 the 2nd and 4th.
-        assert fleet_widths(tasks, 8) == {1: 3, 3: 3}
 
-    def test_no_spare_means_width_one(self):
-        tasks = [PointTask(_square, p) for p in range(3)]
-        tasks.append(FleetTask(_fleet_config()))
-        assert fleet_widths(tasks, 4) == {3: 1}
-        assert fleet_widths(tasks, 2) == {3: 1}
-
-    def test_explicit_shards_pin(self):
-        tasks = [FleetTask(_fleet_config(), shards=2),
-                 FleetTask(_fleet_config())]
-        widths = fleet_widths(tasks, 8)
-        assert widths[0] == 2          # pinned, gets no deals
-        assert widths[1] == 1 + 6      # all spare slots
-
-    def test_weight_ties_break_on_task_order(self):
-        tasks = [FleetTask(_fleet_config(), weight=1.0),
-                 FleetTask(_fleet_config(), weight=1.0)]
-        assert fleet_widths(tasks, 3) == {0: 2, 1: 1}
-
-    def test_no_fleets_no_widths(self):
-        assert fleet_widths([PointTask(_square, 1)], 8) == {}
+def _tagged_square(point):
+    return (os.getpid(), point * point)
 
 
 class TestScheduleEqualsSerial:
-    """The acceptance gate: mixed schedules, parallel vs serial."""
-
-    def test_points_only_preserve_order(self):
-        tasks = [PointTask(_square, p) for p in range(12)]
-        serial = run_schedule(tasks, processes=1)
-        parallel = run_schedule(tasks, processes=4)
-        assert serial == parallel == [p * p for p in range(12)]
+    """The acceptance gate: mixed weighted sweeps, pooled vs serial."""
 
     def test_mixed_points_and_fleet_bit_identical(self):
-        cfg = _fleet_config(num_qps=32, num_ops=128, num_groups=2)
-        tasks = [PointTask(_square, 3, weight=1.0),
-                 FleetTask(cfg, weight=8.0),
-                 PointTask(_square, 7, weight=1.0)]
-        serial = run_schedule(tasks, processes=1)
-        parallel = run_schedule(tasks, processes=4)
-        assert serial[0] == parallel[0] == 9
-        assert serial[2] == parallel[2] == 49
-        assert _metrics(serial[1].result) == _metrics(parallel[1].result)
-        # And both equal the fleet run outside any schedule.
-        direct = run_microbench(cfg)
-        assert _metrics(parallel[1].result) == _metrics(direct)
-
-    def test_fleet_sharded_across_idle_workers(self):
-        # The mixed case the ISSUE names: one big fleet next to small
-        # points, spare workers shard the fleet.
         cfg = _fleet_config()
-        tasks = [FleetTask(cfg, weight=10.0),
-                 PointTask(_square, 2, weight=1.0)]
-        results = run_schedule(tasks, processes=6)
-        fleet = results[0]
-        assert len(fleet.plan.shards) > 1   # it really fanned out
-        serial = run_schedule(tasks, processes=1)
-        assert _metrics(fleet.result) == _metrics(serial[0].result)
+        points = [3, cfg, 7]
+        weights = [1.0, 8.0, 1.0]
+        serial = sweep(_mixed_point, points, processes=1, weights=weights)
+        pooled = sweep(_mixed_point, points, processes=3, weights=weights)
+        assert serial[0] == pooled[0] == 9
+        assert serial[2] == pooled[2] == 49
+        assert serial[1] == pooled[1]
+        # And both equal the fleet run outside any sweep.
+        assert pooled[1] == _metrics(run_microbench(cfg))
 
     def test_repro_serial_env_forces_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERIAL", "1")
-        tasks = [PointTask(_square, p) for p in range(4)]
-        assert run_schedule(tasks, processes=4) == [0, 1, 4, 9]
+        with sweep_session() as session:
+            tags = sweep(_tagged_square, list(range(4)), processes=4,
+                         weights=[0, 3, 1, 2])
+            assert session.pool is None
+            assert session.pooled_sweeps == 0
+        assert [square for _pid, square in tags] == [0, 1, 4, 9]
+        assert all(pid == os.getpid() for pid, _square in tags)
 
     def test_empty_schedule(self):
-        assert run_schedule([], processes=4) == []
-
-
-class TestScheduleMechanics:
-    def test_post_maps_fleet_result_in_parent(self):
-        cfg = _fleet_config(num_qps=32, num_ops=128, num_groups=2)
-        tasks = [FleetTask(cfg, post=lambda fleet:
-                           ("wrapped", fleet.result.total_packets))]
-        for processes in (1, 3):
-            tag, packets = run_schedule(tasks, processes=processes)[0]
-            assert tag == "wrapped"
-            assert packets == run_microbench(cfg).total_packets
-
-    def test_progress_counts_every_unit(self):
-        cfg = _fleet_config(num_qps=32, num_ops=128, num_groups=2)
-        tasks = [PointTask(_square, 1), FleetTask(cfg, shards=2),
-                 PointTask(_square, 2)]
-        seen = []
-        run_schedule(tasks, processes=4,
-                     progress=lambda done, total: seen.append((done, total)))
-        # 2 points + 2 shard units = 4 units, reported monotonically.
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
-
-    def test_hazard_fleet_runs_inline_with_telemetry_attached(self):
-        from repro.telemetry import Telemetry
-        tel = Telemetry()
-        cfg = _fleet_config(num_qps=16, num_ops=64, num_groups=2,
-                            telemetry=tel)
-        tasks = [PointTask(_square, 5), FleetTask(cfg, shards=2)]
-        results = run_schedule(tasks, processes=4)
-        assert results[0] == 25
-        fleet = results[1]
-        assert not fleet.plan.pooled
-        assert "telemetry" in fleet.plan.reason
-        # The session really observed every group cluster, inline.
-        assert len(tel.clusters) == 2
-        assert tel.counters().get("fabric", "switch_forwarded") > 0
-
-    def test_fleet_collect_artifacts_survive_scheduling(self):
-        cfg = _fleet_config(num_qps=32, num_ops=128, num_groups=2)
-        from repro.experiments.shard import run_fleet
-        direct = run_fleet(cfg, collect=("counters", "fingerprint"))
-        task = FleetTask(cfg, collect=("counters", "fingerprint"))
-        for processes in (1, 3):
-            fleet = run_schedule([task], processes=processes)[0]
-            assert fleet.fingerprint == direct.fingerprint
-            assert fleet.counters.identity_surface() \
-                == direct.counters.identity_surface()
+        assert sweep(_tagged_square, [], processes=4, weights=[]) == []
+        with sweep_session() as session:
+            assert sweep(_tagged_square, [], processes=4) == []
+            assert session.pool is None
 
 
 class TestFigureWiring:
-    """The figure drivers sit on the scheduler now; their classic
-    outputs must not have moved."""
+    """The figure entry points run on the weighted sweep; their outputs must
+    not depend on placement."""
 
     def test_tab13_cells_bit_identical(self):
         from repro.apps.spark.workloads import SPARK_CELLS
@@ -175,13 +90,15 @@ class TestFigureWiring:
         # (a different, equally valid fleet definition — not the
         # monolithic classic run), so what must hold is placement
         # invariance: serial, pooled, and sharded all render the same.
-        from repro.experiments.fig09_flood import run_figure9
-        kwargs = dict(qps_values=[4], modes=[OdpSetup.CLIENT],
+        # The 1-QP cell cannot split, so plain and fleet points mix.
+        kwargs = dict(qps_values=[1, 4, 8], modes=[OdpSetup.CLIENT],
                       scale=128, seed=3, num_groups=2)
         serial = run_figure9(processes=1, **kwargs)
         pooled = run_figure9(processes=4, **kwargs)
-        sharded = run_figure9(processes=4, shards=2, **kwargs)
-        assert serial.render() == pooled.render() == sharded.render()
+        pooled_sharded = run_figure9(processes=4, shards=2, **kwargs)
+        serial_sharded = run_figure9(processes=1, shards=2, **kwargs)
+        assert serial.render() == pooled.render() \
+            == pooled_sharded.render() == serial_sharded.render()
 
     def test_fig09_effective_groups_divisor_fallback(self):
         from repro.experiments.fig09_flood import effective_groups
