@@ -9,6 +9,7 @@ retransmissions, faults and invalidations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -46,7 +47,11 @@ class VirtualMemory:
         self._now = now_fn
         self.name = name
         self._next_addr = self.BASE
-        self._mappings: List[Tuple[int, int]] = []  # (base, size)
+        #: (base, size) in rising ``base`` order — ``mmap`` only
+        #: appends above the bump pointer — with the bases mirrored in
+        #: ``_bases`` for :meth:`is_mapped`'s bisection.
+        self._mappings: List[Tuple[int, int]] = []
+        self._bases: List[int] = []
         self._pages: Dict[int, PageInfo] = {}
         self._swap: Dict[int, bytes] = {}
         self._invalidation_hooks: List[Callable[[int], None]] = []
@@ -65,15 +70,23 @@ class VirtualMemory:
         base = -(-self._next_addr // align) * align
         self._next_addr = base + size
         self._mappings.append((base, size))
+        self._bases.append(base)
         region = Region(self, base, size)
         if populate:
             self.touch_range(base, size)
         return region
 
     def is_mapped(self, addr: int, size: int = 1) -> bool:
-        """True when ``[addr, addr+size)`` lies inside some mapping."""
-        return any(base <= addr and addr + size <= base + msize
-                   for base, msize in self._mappings)
+        """True when ``[addr, addr+size)`` lies inside some mapping.
+
+        Mappings never overlap and rise with their bases, so the only
+        candidate is the last one based at or below ``addr``.
+        """
+        index = bisect_right(self._bases, addr) - 1
+        if index < 0:
+            return False
+        base, msize = self._mappings[index]
+        return addr + size <= base + msize
 
     # ------------------------------------------------------------------
     # Page state

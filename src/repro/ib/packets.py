@@ -151,15 +151,18 @@ class Aeth:
         return f"<Aeth {self.syndrome.value} msn={self.msn}>"
 
 
-#: Per-opcode wire traits, precomputed once:
-#: (is_request, is_read_response, is_ack, atomic_eth_bytes)
-_OPCODE_TRAITS: Dict[Opcode, Tuple[bool, bool, bool, int]] = {
-    op: (is_request(op), is_read_response(op),
-         op in (Opcode.ACKNOWLEDGE, Opcode.ATOMIC_ACKNOWLEDGE),
-         ATOMIC_ETH_BYTES if op in (Opcode.COMPARE_SWAP,
+# Per-opcode wire traits, precomputed once and attached to each member
+# as ``opcode.wire_traits``:
+# (is_request, is_read_response, is_ack, atomic_eth_bytes).
+# ``Packet.__init__`` reads the attribute; a dict keyed by the member
+# would run the Python-level ``Enum.__hash__`` once per packet.
+for _op in Opcode:
+    _op.wire_traits = (
+        is_request(_op), is_read_response(_op),
+        _op in (Opcode.ACKNOWLEDGE, Opcode.ATOMIC_ACKNOWLEDGE),
+        ATOMIC_ETH_BYTES if _op in (Opcode.COMPARE_SWAP,
                                     Opcode.FETCH_ADD) else 0)
-    for op in Opcode
-}
+del _op
 
 
 class Packet:
@@ -202,7 +205,7 @@ class Packet:
         #: check silently discards marked packets (wire footprint is
         #: unchanged — corruption flips bits, not lengths).
         self.corrupted = False
-        is_req, is_rresp, is_ack, atomic_bytes = _OPCODE_TRAITS[opcode]
+        is_req, is_rresp, is_ack, atomic_bytes = opcode.wire_traits
         self.is_request = is_req
         self.is_read_response = is_rresp
         self.is_ack = is_ack

@@ -9,6 +9,7 @@ NIC's own timer bookkeeping — modelled by :meth:`load_stretch`.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.ib.device import DeviceProfile
@@ -22,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.host.driver import Driver
     from repro.ib.verbs.mr import MemoryRegion
     from repro.ib.verbs.qp import QueuePair
-    from repro.net.network import Network, NetworkPort
+    from repro.net.network import Network
 
 
 class Rnic:
@@ -35,7 +36,7 @@ class Rnic:
         self.lid = lid
         self.driver = driver
         self.network = network
-        self.port: "NetworkPort" = network.attach(lid, self._on_wire_rx)
+        network.attach(lid, self._on_wire_rx)
         network.devices[lid] = self
         self.translation = NicTranslationTable()
         self.status_engine = PageStatusEngine(sim, profile)
@@ -140,6 +141,10 @@ class Rnic:
     # ------------------------------------------------------------------
     # Transmit pipeline
     # ------------------------------------------------------------------
+    #
+    # Both pipelines push their per-packet events onto the engine's heap
+    # inline (``Simulator.schedule`` without its argument checks: the
+    # profile's processing costs are non-negative ints).
 
     def tx_enqueue(self, packet: Packet) -> None:
         """Queue a packet for transmission (round-robin across QPs,
@@ -156,7 +161,12 @@ class Rnic:
             self.stats["tx_retransmissions"] += 1
         if not self._tx_busy:
             self._tx_busy = True
-            self.sim.schedule(self.profile.tx_proc_ns, self._tx_drain)
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1  # noqa: SLF001
+            sim._pending += 1  # noqa: SLF001
+            heappush(sim._queue,  # noqa: SLF001
+                     (sim.now + self.profile.tx_proc_ns, seq,
+                      self._tx_drain, ()))
 
     def _tx_drain(self) -> None:
         if not self._tx_ring:
@@ -167,9 +177,14 @@ class Rnic:
         packet = queue.popleft()
         if queue:
             self._tx_ring.append(qpn)
-        self.port.send(packet)
+        self.network.inject(self.lid, packet)
         if self._tx_ring:
-            self.sim.schedule(self.profile.tx_proc_ns, self._tx_drain)
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1  # noqa: SLF001
+            sim._pending += 1  # noqa: SLF001
+            heappush(sim._queue,  # noqa: SLF001
+                     (sim.now + self.profile.tx_proc_ns, seq,
+                      self._tx_drain, ()))
         else:
             self._tx_busy = False
 
@@ -182,7 +197,12 @@ class Rnic:
         if self._rx_paused:
             self._rx_backlog.append(packet)
             return
-        self.sim.schedule(self.profile.rx_proc_ns, self._dispatch, packet)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1  # noqa: SLF001
+        sim._pending += 1  # noqa: SLF001
+        heappush(sim._queue,  # noqa: SLF001
+                 (sim.now + self.profile.rx_proc_ns, seq, self._dispatch,
+                  (packet,)))
 
     def _dispatch(self, packet: Packet) -> None:
         qp = self._qps.get(packet.dst_qpn)

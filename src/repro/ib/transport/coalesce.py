@@ -80,9 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Wire size of a storm READ request.
 _REQ_WIRE = BASE_HEADER_BYTES + RETH_BYTES
 
-#: Events a packet costs on the per-packet path: tx drain, uplink
-#: arrival, switch forward, downlink arrival, rx dispatch.
-_EVENTS_PER_PACKET = 5
+#: Events a packet costs on the per-packet path: tx drain, switch
+#: forward (the uplink delivery itself, ``forward_ns`` after the wire
+#: arrival), downlink arrival, rx dispatch.
+_EVENTS_PER_PACKET = 4
 
 #: Requester state constants, resolved once on first use: the requester
 #: module imports this one, so a top-level import would be circular, and

@@ -10,6 +10,7 @@ back-to-back retransmission bursts at the heart of packet damming.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
@@ -28,7 +29,10 @@ class LinkEnd:
     """One direction of a link: a serialising transmitter.
 
     ``deliver`` is the far side's receive function, invoked with
-    ``(packet)`` once the last bit arrives.
+    ``(packet)`` ``hop_ns`` after the last bit arrives.  ``hop_ns`` is
+    the fixed latency of whatever sits behind the far end: the switch's
+    ``forward_ns`` on a host-to-switch end (its ``deliver`` is the
+    crossbar's forward step), 0 on a switch-to-host end.
     """
 
     def __init__(
@@ -43,6 +47,7 @@ class LinkEnd:
         self.propagation_ns = propagation_ns
         self.name = name
         self.deliver: Optional[Callable[[Any], None]] = None
+        self.hop_ns = 0
         self._busy_until = 0
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -82,10 +87,13 @@ class LinkEnd:
     def transmit(self, packet: Any) -> int:
         """Queue ``packet`` for transmission; returns its arrival time.
 
-        A down direction drops the packet immediately (no serialisation,
-        no counters beyond ``dropped_link_down``) and returns ``-1``.
+        The arrival time is the wire arrival (last bit at the far end);
+        ``deliver`` fires ``hop_ns`` later, as one engine event.  A down
+        direction drops the packet immediately (no serialisation, no
+        counters beyond ``dropped_link_down``) and returns ``-1``.
         """
-        if self.deliver is None:
+        deliver = self.deliver
+        if deliver is None:
             raise RuntimeError(f"link end {self.name!r} is not connected")
         if not self.up:
             self.dropped_link_down += 1
@@ -96,22 +104,28 @@ class LinkEnd:
         ser = self._ser_cache.get(wire_size)
         if ser is None:
             ser = self.serialization_ns(wire_size)
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
         busy = self._busy_until
         if busy > start:
             start = busy
-        self._busy_until = start + ser
-        arrival = self._busy_until + self.propagation_ns + self.extra_delay_ns
+        busy = start + ser
+        self._busy_until = busy
+        arrival = busy + self.propagation_ns + self.extra_delay_ns
         self.tx_packets += 1
         self.tx_bytes += wire_size
         if self._track_inflight:
             token = self._inflight_next
             self._inflight_next = token + 1
-            event = self.sim.timer_at(arrival, self._tracked_deliver, token,
-                                      packet)
+            event = sim.timer_at(arrival, self._tracked_deliver, token,
+                                 packet)
             self._inflight[token] = (event, packet)
         else:
-            self.sim.at(arrival, self.deliver, packet)
+            # ``Simulator.at`` inlined: one plain heap entry per packet.
+            sim._seq = seq = sim._seq + 1  # noqa: SLF001
+            sim._pending += 1  # noqa: SLF001
+            heappush(sim._queue,  # noqa: SLF001
+                     (arrival + self.hop_ns, seq, deliver, (packet,)))
         return arrival
 
     # ------------------------------------------------------------------
@@ -121,17 +135,24 @@ class LinkEnd:
     def enable_inflight_tracking(self) -> None:
         """Track delivery events so :meth:`set_down` can drain the wire.
 
-        Tracking changes no timing (the delivery is a cancellable timer
-        at the same ``(time, seq)`` position, firing through a one-hop
-        trampoline); it is enabled up front
-        for any link a chaos plan may flap, so instrumented and bare
-        runs stay bit-identical.
+        Tracking changes no timing: the wire arrival becomes a
+        cancellable timer at the arrival instant, and its trampoline
+        hands the packet to ``deliver`` ``hop_ns`` later, so every
+        packet reaches its receiver at the same nanosecond as on an
+        untracked end.  Only the wire leg is cancellable: a packet that
+        has already arrived (say, one inside the switch's forwarding
+        hop) survives a later :meth:`set_down`.  Tracking is enabled up
+        front for any link a chaos plan may flap, so whether the flap
+        fires or not the instrumented timing is the same.
         """
         self._track_inflight = True
 
     def _tracked_deliver(self, token: int, packet: Any) -> None:
         self._inflight.pop(token, None)
-        self.deliver(packet)
+        if self.hop_ns:
+            self.sim.schedule(self.hop_ns, self.deliver, packet)
+        else:
+            self.deliver(packet)
 
     def set_down(self) -> None:
         """Take this direction down; tracked in-flight packets drain.

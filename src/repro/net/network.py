@@ -3,8 +3,8 @@
 :class:`Network` owns the switch and one full-duplex link per attached
 LID.  It exposes:
 
-* ``attach(lid, receive)`` — returns a :class:`NetworkPort` whose ``send``
-  injects packets into the fabric,
+* ``attach(lid, receive)`` and ``inject(src_lid, packet)`` — a host
+  attaches a receive function at its LID and injects its packets there,
 * sniffer taps (``add_tap``) observing every injected packet — the
   substrate of the ibdump-equivalent capture layer,
 * loss injection rules (``add_loss_rule``) evaluated at injection time,
@@ -43,18 +43,6 @@ class DropReason:
     reason: str = field(default="loss_rule")
 
 
-class NetworkPort:
-    """A host's handle on the fabric."""
-
-    def __init__(self, network: "Network", lid: int):
-        self.network = network
-        self.lid = lid
-
-    def send(self, packet: Any) -> None:
-        """Inject ``packet`` (its ``dst_lid`` decides routing)."""
-        self.network.inject(self.lid, packet)
-
-
 class Network:
     """Single-switch fabric with LID routing, taps, and loss injection."""
 
@@ -67,7 +55,6 @@ class Network:
         self.stats: Dict[int, PortStats] = {}
         self.drops: List[DropReason] = []
         self._links: Dict[int, Link] = {}
-        self._receivers: Dict[int, Callable[[Any], None]] = {}
         self._taps: List[Callable[[int, int, Any], None]] = []
         self._loss_rules: List[Callable[[Any], bool]] = []
         #: attached RNICs by LID (registered by the device at attach
@@ -90,19 +77,25 @@ class Network:
     # Topology
     # ------------------------------------------------------------------
 
-    def attach(self, lid: int, receive: Callable[[Any], None]) -> NetworkPort:
-        """Attach a host port at ``lid`` delivering packets to ``receive``."""
+    def attach(self, lid: int, receive: Callable[[Any], None]) -> None:
+        """Attach a host port at ``lid`` delivering packets to ``receive``.
+
+        The host injects its packets with :meth:`inject`.
+        """
         if lid in self._links:
             raise ValueError(f"LID {lid} already attached")
         link = Link(self.sim, rate=self.rate,
                     propagation_ns=self.propagation_ns, name=f"lid{lid}")
-        link.a_to_b.deliver = self.switch.receive          # host -> switch
-        link.b_to_a.deliver = lambda pkt: self._deliver(lid, pkt)
-        self.switch.attach(lid, link.b_to_a)
+        switch = self.switch
+        stats = PortStats()
+        # host -> switch: the uplink's delivery is the crossbar's
+        # forward step, ``forward_ns`` after the wire arrival.
+        link.a_to_b.deliver = switch._forward  # noqa: SLF001
+        link.a_to_b.hop_ns = switch.forward_ns
+        link.b_to_a.deliver = self._port_delivery(stats, receive)
+        switch.attach(lid, link.b_to_a)
         self._links[lid] = link
-        self._receivers[lid] = receive
-        self.stats[lid] = PortStats()
-        return NetworkPort(self, lid)
+        self.stats[lid] = stats
 
     def lids(self) -> List[int]:
         """All attached LIDs."""
@@ -115,9 +108,9 @@ class Network:
         the two directions of its own link (host->switch and
         switch->host).  The switch itself is deliberately absent — it
         is a contention-free crossbar whose ``forward_ns`` is a fixed
-        per-packet latency with no shared queue (see
-        :meth:`repro.net.switch.Switch.receive`), so it never
-        serialises two flows against each other.
+        per-packet latency with no shared queue (the uplink's
+        ``hop_ns`` in front of :meth:`repro.net.switch.Switch._forward`),
+        so it never serialises two flows against each other.
 
         This is the fabric-level contract behind the shard planner's
         partition proof (:func:`repro.experiments.shard.plan_shards`):
@@ -273,10 +266,13 @@ class Network:
                     else:
                         self._transmit(src_lid, replacement)
                 return
-        self._transmit(src_lid, packet)
+        stats = self.stats[src_lid]
+        stats.tx_packets += 1
+        stats.tx_bytes += packet.wire_size
+        self._links[src_lid].a_to_b.transmit(packet)
 
     def _transmit(self, src_lid: int, packet: Any) -> None:
-        """Book tx stats and hand the packet to the uplink."""
+        """Book tx stats and hand a chaos replacement to the uplink."""
         stats = self.stats[src_lid]
         stats.tx_packets += 1
         stats.tx_bytes += packet.wire_size
@@ -326,18 +322,28 @@ class Network:
         self.stats[src_lid].drops_injected += 1
         self.drops.append(DropReason(self.sim.now, packet, reason))
 
-    def _deliver(self, lid: int, packet: Any) -> None:
-        stats = self.stats[lid]
-        if packet.corrupted:
-            # ICRC validation at the receiving port: a corrupted packet
-            # is silently discarded, exactly as a real RNIC does —
-            # upper layers only ever notice via timeout/retransmission.
-            stats.icrc_drops += 1
-            self.drops.append(DropReason(self.sim.now, packet, "icrc"))
-            return
-        stats.rx_packets += 1
-        stats.rx_bytes += packet.wire_size
-        self._receivers[lid](packet)
+    def _port_delivery(self, stats: PortStats,
+                       receive: Callable[[Any], None]
+                       ) -> Callable[[Any], None]:
+        """The downlink delivery of one port, bound to its stats and
+        receiver."""
+        drops = self.drops
+        sim = self.sim
+
+        def deliver(packet: Any) -> None:
+            if packet.corrupted:
+                # ICRC validation at the receiving port: a corrupted
+                # packet is silently discarded, exactly as a real RNIC
+                # does — upper layers only ever notice via
+                # timeout/retransmission.
+                stats.icrc_drops += 1
+                drops.append(DropReason(sim.now, packet, "icrc"))
+                return
+            stats.rx_packets += 1
+            stats.rx_bytes += packet.wire_size
+            receive(packet)
+
+        return deliver
 
     def _on_switch_drop(self, packet: Any, reason: str) -> None:
         self.drops.append(DropReason(self.sim.now, packet, reason))

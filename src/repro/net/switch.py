@@ -1,9 +1,12 @@
 """A single-stage crossbar switch with cut-through forwarding.
 
-The switch receives packets from host-facing links, looks up the
-destination LID in its forwarding table, applies a fixed forwarding
-latency, and transmits on the output port's link (which serialises, so
-congestion on an output port naturally queues packets).
+The switch forwards packets from host-facing links: it looks up the
+destination LID in its forwarding table and transmits on the output
+port's link (which serialises, so congestion on an output port naturally
+queues packets).  The fixed forwarding latency ``forward_ns`` is not a
+separate event: each host-to-switch :class:`~repro.net.link.LinkEnd`
+carries it as its ``hop_ns``, so a packet's uplink delivery *is* its
+:meth:`Switch._forward` call, ``forward_ns`` after the wire arrival.
 Unknown destination LIDs are dropped — this is how the Figure 2 timeout
 experiment provokes packet loss, exactly as the paper did by configuring
 a wrong destination LID on a QP.
@@ -46,11 +49,8 @@ class Switch:
         """True when the switch can forward to ``lid``."""
         return lid in self._ports
 
-    def receive(self, packet: Any) -> None:
-        """Handle a packet arriving from any uplink."""
-        self.sim.schedule(self.forward_ns, self._forward, packet)
-
     def _forward(self, packet: Any) -> None:
+        """Route one packet, ``forward_ns`` after its uplink arrival."""
         port = self._ports.get(packet.dst_lid)
         if port is None:
             self.dropped_unknown_lid += 1

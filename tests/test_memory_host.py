@@ -87,6 +87,44 @@ class TestVirtualMemory:
             region.read(60, 8)
 
 
+    def test_is_mapped_edges_gaps_and_tail(self):
+        _sim, vm = self.make_vm()
+        first = vm.mmap(100)
+        second = vm.mmap(2 * PAGE_SIZE)
+        # ``second`` starts at the next page boundary: a 3996-byte gap.
+        assert second.base == first.base + PAGE_SIZE
+        assert vm.is_mapped(first.base, 100)
+        assert vm.is_mapped(first.base + 99)
+        assert not vm.is_mapped(first.base - 1)
+        assert not vm.is_mapped(first.base + 99, 2)
+        assert not vm.is_mapped(first.end)
+        assert not vm.is_mapped(second.base - 1)
+        assert not vm.is_mapped(first.base + 50, PAGE_SIZE)
+        assert vm.is_mapped(second.base, 2 * PAGE_SIZE)
+        assert not vm.is_mapped(second.base, 2 * PAGE_SIZE + 1)
+        assert not vm.is_mapped(second.end)
+        assert not vm.is_mapped(second.end + 10 * PAGE_SIZE)
+
+    def test_is_mapped_agrees_with_a_scan_of_every_mapping(self):
+        _sim, vm = self.make_vm()
+        assert not vm.is_mapped(VirtualMemory.BASE)
+        regions = [vm.mmap(size, align=align) for size, align in (
+            (100, PAGE_SIZE), (PAGE_SIZE, PAGE_SIZE), (10, 64),
+            (3 * PAGE_SIZE, 2 * PAGE_SIZE), (1, 1), (7, 1))]
+
+        def scan(addr, size):
+            return any(r.base <= addr and addr + size <= r.end
+                       for r in regions)
+
+        addrs = set(range(regions[0].base - 8, regions[-1].end + 8, 7))
+        for r in regions:
+            addrs.update((r.base - 1, r.base, r.end - 1, r.end))
+        for addr in sorted(addrs):
+            for size in (1, 8, 100, PAGE_SIZE):
+                assert vm.is_mapped(addr, size) == scan(addr, size), \
+                    (hex(addr), size)
+
+
 class TestKernel:
     def test_make_present_costs_time(self):
         sim = Simulator()

@@ -6,6 +6,7 @@ from repro.ib.opcodes import Opcode
 from repro.ib.packets import Packet
 from repro.net.link import Link, RATE_BYTES_PER_SEC
 from repro.net.network import Network
+from repro.net.switch import DEFAULT_FORWARD_NS
 from repro.sim.engine import Simulator
 
 
@@ -131,3 +132,65 @@ class TestNetwork:
         net.inject(1, make_packet(2))
         sim.run_until_idle()
         assert 1_000 < times["back"] < 10_000  # 1-10 us
+
+    def test_one_packet_costs_two_engine_events(self):
+        # The switch hop rides the uplink delivery: one event forwards
+        # at the switch, one delivers at the far port.
+        sim = Simulator()
+        net = Network(sim, propagation_ns=500)
+        arrivals = []
+        net.attach(1, lambda pkt: None)
+        net.attach(2, lambda pkt: arrivals.append(sim.now))
+        packet = make_packet(2)
+        ser = net.link_ends(1)[0].serialization_ns(packet.wire_size)
+        net.inject(1, packet)
+        sim.run_until_idle()
+        assert sim.events_fired == 2
+        assert arrivals == [2 * ser + 2 * 500 + DEFAULT_FORWARD_NS]
+
+
+def tracked_pair(track):
+    """A two-LID fabric; ``track`` enables in-flight tracking on every
+    link end.  Returns (sim, net, arrivals at LID 2)."""
+    sim = Simulator()
+    net = Network(sim, propagation_ns=500)
+    arrivals = []
+    net.attach(1, lambda pkt: None)
+    net.attach(2, lambda pkt: arrivals.append((sim.now, pkt.psn)))
+    if track:
+        for lid in (1, 2):
+            for end in net.link_ends(lid):
+                end.enable_inflight_tracking()
+    return sim, net, arrivals
+
+
+class TestInflightTracking:
+    """``enable_inflight_tracking`` changes no timing, and only the wire
+    leg of a hop is cancellable."""
+
+    def test_tracking_changes_no_arrival_time(self):
+        timelines = []
+        for track in (False, True):
+            sim, net, arrivals = tracked_pair(track)
+            for psn in range(3):
+                packet = make_packet(2)
+                packet.psn = psn
+                net.inject(1, packet)
+            sim.run_until_idle()
+            timelines.append(arrivals)
+        assert len(timelines[0]) == 3
+        assert timelines[0] == timelines[1]
+
+    @pytest.mark.parametrize("offset, delivered", [(-1, False), (1, True)])
+    def test_set_down_drains_only_the_wire(self, offset, delivered):
+        sim, net, arrivals = tracked_pair(track=True)
+        uplink = net.link_ends(1)[0]
+        packet = make_packet(2)
+        wire_arrival = uplink.serialization_ns(packet.wire_size) + 500
+        net.inject(1, packet)
+        # One ns before the wire arrival the packet is still on the
+        # wire; one ns after, it is inside the switch's forwarding hop.
+        sim.at(wire_arrival + offset, uplink.set_down)
+        sim.run_until_idle()
+        assert uplink.dropped_link_down == (0 if delivered else 1)
+        assert len(arrivals) == (1 if delivered else 0)
