@@ -1,4 +1,4 @@
-"""Scale benchmark: the storm coalescer at 1k/4k/16k QPs.
+"""Scale benchmark: the storm coalescer from 50 to 64k QPs.
 
 The fig09 flood grid tops out at a few hundred QPs; real ODP incidents
 (Section VII's deployment anecdotes) involve fabrics with thousands of
@@ -12,18 +12,20 @@ surfaces (``Link.bulk_occupy``, ``Switch.bulk_forward``,
 reported metric stays bit-identical to the per-packet path, enforced
 here on every workload.
 
-Each classic workload is a window-1 client-ODP flood
-(``max_rd_atomic=1``, the shape Section VI-B's retransmission analysis
-reasons about) measured in two modes::
+Each classic workload is a client-ODP flood measured in two modes::
 
     object    coalescing off: the per-packet reference path
     coalesce  every storm fast path on
 
-and ``speedup`` is ``wall(object) / wall(coalesce)``.
+and ``speedup`` is ``wall(object) / wall(coalesce)``.  The ``qps*``
+rows are window-1 floods (``max_rd_atomic=1``, the shape Section VI-B's
+retransmission analysis reasons about); the ``storm*`` rows are the
+fig09 window-16 storm (C_ACK 14), where blind and joint rounds carry
+most of the run.
 
-The ``*_shard`` workloads (and the 64k-QP headline row) run the same
-flood as a **fleet**: ``num_groups`` independent client/server QP
-groups executed through the shard layer
+The ``*_shard`` workloads (and the 64k-QP headline row) run the
+window-1 flood as a **fleet**: ``num_groups`` independent
+client/server QP groups executed through the shard layer
 (:mod:`repro.experiments.shard`) at each listed shard count, always
 with coalescing on.  ``shardsN`` rows must be bit-identical to each
 other (the ``shards1`` row is the in-process reference), and
@@ -35,8 +37,8 @@ parallelism the machine offers.
 
 Run ``python -m repro.bench.scalebench`` from the repo root; it writes
 ``BENCH_scale.json`` (see the README's Performance section).  Use
-``--smoke`` in CI for a minutes-long 1k-QP run (classic + shard
-workloads), ``--shard-smoke`` for the CI shard gate (4k-QP fleet at 2
+``--smoke`` in CI for the 1k-QP classic and fleet rows plus the 50-QP
+storm row, ``--shard-smoke`` for the CI shard gate (4k-QP fleet at 1, 2
 and 4 shards: bit-identity + wall ceiling), ``--shards N`` to measure
 a specific worker count, ``--check BENCH_scale.json`` to fail when a
 freshly measured speedup regresses more than 30% below the committed
@@ -57,6 +59,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
+from repro.sim.timebase import MS
 
 #: Mode name -> coalesce.
 _MODES = (
@@ -64,17 +67,33 @@ _MODES = (
     ("coalesce", True),
 )
 
-#: The flood points: 4 ops per QP keeps every QP stale for the whole
-#: run (the steady-state storm regime) while total work scales linearly
-#: with fabric size.  Wall-clock repeats are per-point: the 16k point
-#: costs minutes per object-mode rep, so it gets one.  Smoke mode runs
-#: the 1k point under its full-mode name (fewer repeats) so a smoke
-#: ``--check`` still compares against the committed baseline.
+#: Config fields every row shares: a client-ODP flood of sub-page
+#: (400 B) READs, on lazy payloads (bit-identical metrics, no
+#: per-packet byte copies) so the measured delta is engine overhead,
+#: not memcpy.
+_FLOOD = dict(size=400, odp=OdpSetup.CLIENT, integrity=False, seed=50)
+#: The window-1 flood of the ``qps*`` and fleet rows.
+_WINDOW1 = dict(_FLOOD, interval_us=0.0, max_rd_atomic=1)
+#: The fig09 window-16 storm of the ``storm*`` rows.
+_STORM = dict(_FLOOD, cack=14, min_rnr_timer_ns=round(1.28 * MS))
+
+#: The classic rows: MicrobenchConfig fields plus best-of ``repeats``.
+#: The ``qps*`` rows run 4 ops per QP, which keeps every QP stale for
+#: the whole run (the steady-state storm regime) while total work
+#: scales linearly with fabric size; the 16k row costs minutes per
+#: object-mode rep, so it gets one.  ``storm50`` is the storm at CI
+#: scale, deep enough that blind and joint rounds both engage;
+#: ``storm256`` is the deepest storm the fig09 grid reaches.  Smoke
+#: mode runs ``_SMOKE`` under their full-mode names (fewer repeats) so
+#: a smoke ``--check`` still compares against the committed baseline.
 _WORKLOADS = {
-    "qps1k": dict(num_qps=1024, num_ops=4096, repeats=5),
-    "qps4k": dict(num_qps=4096, num_ops=16384, repeats=3),
-    "qps16k": dict(num_qps=16384, num_ops=65536, repeats=1),
+    "qps1k": dict(_WINDOW1, num_qps=1024, num_ops=4096, repeats=5),
+    "qps4k": dict(_WINDOW1, num_qps=4096, num_ops=16384, repeats=3),
+    "qps16k": dict(_WINDOW1, num_qps=16384, num_ops=65536, repeats=1),
+    "storm50": dict(_STORM, num_qps=50, num_ops=512, repeats=5),
+    "storm256": dict(_STORM, num_qps=256, num_ops=4096, repeats=2),
 }
+_SMOKE = ("qps1k", "storm50")
 
 #: Fleet workloads for the shard layer.  ``num_groups`` independent
 #: 256-QP client/server groups; ``shard_counts`` lists the worker
@@ -87,33 +106,19 @@ _WORKLOADS = {
 #: object run costs tens of minutes, which is exactly the ceiling the
 #: shard tier removes.
 _SHARD_WORKLOADS = {
-    "qps1k_shard": dict(num_qps=1024, num_ops=4096, num_groups=4,
-                        shard_counts=(1, 2), repeats=3,
+    "qps1k_shard": dict(_WINDOW1, num_qps=1024, num_ops=4096,
+                        num_groups=4, shard_counts=(1, 2), repeats=3,
                         pair_reference="qps1k"),
-    "qps4k_shard": dict(num_qps=4096, num_ops=16384, num_groups=16,
-                        shard_counts=(1, 2, 4), repeats=1,
+    "qps4k_shard": dict(_WINDOW1, num_qps=4096, num_ops=16384,
+                        num_groups=16, shard_counts=(1, 2, 4), repeats=1,
                         pair_reference="qps4k"),
-    "qps16k_shard": dict(num_qps=16384, num_ops=65536, num_groups=64,
-                         shard_counts=(1, 8), repeats=1,
+    "qps16k_shard": dict(_WINDOW1, num_qps=16384, num_ops=65536,
+                         num_groups=64, shard_counts=(1, 8), repeats=1,
                          pair_reference="qps16k"),
-    "qps64k": dict(num_qps=65536, num_ops=262144, num_groups=256,
-                   shard_counts=(1, 8), repeats=1,
+    "qps64k": dict(_WINDOW1, num_qps=65536, num_ops=262144,
+                   num_groups=256, shard_counts=(1, 8), repeats=1,
                    pair_reference=None),
 }
-
-def _flood_config(coalesce: bool, num_qps: int,
-                  num_ops: int) -> MicrobenchConfig:
-    """A window-1 client-ODP flood point.
-
-    ``size=400`` keeps the paper's sub-page message regime;
-    ``integrity=False`` runs the NICs in lazy-payload mode (bit-identical
-    metrics, no per-packet byte copies) so the measured delta is engine
-    overhead, not memcpy.
-    """
-    return MicrobenchConfig(size=400, num_ops=num_ops, num_qps=num_qps,
-                            interval_us=0.0, odp=OdpSetup.CLIENT,
-                            integrity=False, seed=50, max_rd_atomic=1,
-                            coalesce=coalesce)
 
 
 def _metrics(result) -> Dict[str, Any]:
@@ -129,8 +134,8 @@ def _metrics(result) -> Dict[str, Any]:
     return d
 
 
-def _scale_point(num_qps: int, num_ops: int, repeats: int,
-                 modes=_MODES) -> Dict[str, Any]:
+def _scale_point(repeats: int, modes=_MODES,
+                 **fields: Any) -> Dict[str, Any]:
     """Wall-clock one flood point in every mode.
 
     Best-of-``repeats`` walls per mode, runs interleaved across modes so
@@ -139,15 +144,17 @@ def _scale_point(num_qps: int, num_ops: int, repeats: int,
     taxes whichever mode runs last with the drift the repeat
     accumulated.  The bit-identity comparison uses
     the full metric surface of each mode's last run against the
-    ``object`` reference.
+    ``object`` reference.  ``fields`` are the point's
+    :class:`MicrobenchConfig` fields.
     """
-    point: Dict[str, Any] = {"num_qps": num_qps, "num_ops": num_ops}
+    point: Dict[str, Any] = {"num_qps": fields["num_qps"],
+                             "num_ops": fields["num_ops"]}
     walls: Dict[str, List[float]] = {name: [] for name, _c in modes}
     surfaces: Dict[str, Dict[str, Any]] = {}
     for rep in range(repeats):
         order = modes if rep % 2 == 0 else tuple(reversed(modes))
         for name, coalesce in order:
-            cfg = _flood_config(coalesce, num_qps, num_ops)
+            cfg = MicrobenchConfig(coalesce=coalesce, **fields)
             started = time.perf_counter()
             result = run_microbench(cfg)
             walls[name].append(time.perf_counter() - started)
@@ -168,8 +175,8 @@ def _scale_point(num_qps: int, num_ops: int, repeats: int,
     return point
 
 
-def _shard_point(num_qps: int, num_ops: int, num_groups: int,
-                 shard_counts, repeats: int) -> Dict[str, Any]:
+def _shard_point(shard_counts, repeats: int,
+                 **fields: Any) -> Dict[str, Any]:
     """Wall-clock one fleet point at every shard count.
 
     Coalescing stays on (each shard keeps its own storm coalescers);
@@ -178,11 +185,10 @@ def _shard_point(num_qps: int, num_ops: int, num_groups: int,
     ``shard_counts[0] == 1`` that is the in-process single-shard
     reference the merge contract is stated against.
     """
-    base = dataclasses.replace(
-        _flood_config(True, num_qps, num_ops),
-        num_groups=num_groups)
-    point: Dict[str, Any] = {"num_qps": num_qps, "num_ops": num_ops,
-                             "num_groups": num_groups}
+    base = MicrobenchConfig(coalesce=True, **fields)
+    point: Dict[str, Any] = {"num_qps": base.num_qps,
+                             "num_ops": base.num_ops,
+                             "num_groups": base.num_groups}
     walls: Dict[int, List[float]] = {count: [] for count in shard_counts}
     surfaces: Dict[int, Dict[str, Any]] = {}
     for rep in range(repeats):
@@ -213,8 +219,8 @@ def run_bench(smoke: bool, shard_smoke: bool = False,
     """Measure the workload grid.
 
     Full mode: every classic point plus every fleet point.  ``--smoke``:
-    the 1k classic point and the 1k fleet point (so a smoke ``--check``
-    vets shard entries of the committed baseline too).
+    the ``_SMOKE`` classic points and the 1k fleet point (so a smoke
+    ``--check`` vets shard entries of the committed baseline too).
     ``--shard-smoke``: only the 4k fleet point at 1/2/4 shards — the CI
     shard gate.  ``shards``, when given, replaces each fleet point's
     measured counts with ``(1, shards)`` (1 stays so bit-identity is
@@ -223,7 +229,7 @@ def run_bench(smoke: bool, shard_smoke: bool = False,
     if shard_smoke:
         classic_names, shard_names = (), ("qps4k_shard",)
     elif smoke:
-        classic_names, shard_names = ("qps1k",), ("qps1k_shard",)
+        classic_names, shard_names = _SMOKE, ("qps1k_shard",)
     else:
         classic_names = tuple(_WORKLOADS)
         shard_names = tuple(_SHARD_WORKLOADS)
@@ -324,11 +330,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="scalebench",
         description="Benchmark the storm coalescer against the "
-                    "per-packet engine at 1k/4k/16k QPs and write "
+                    "per-packet engine from 50 to 64k QPs and write "
                     "BENCH_scale.json.")
     parser.add_argument("--smoke", action="store_true",
                         help="run only the 1k-QP classic and fleet "
-                             "points (CI scale smoke)")
+                             "points and the 50-QP storm (CI scale "
+                             "smoke)")
     parser.add_argument("--shard-smoke", action="store_true",
                         help="run only the 4k-QP fleet point at 1/2/4 "
                              "shards (CI shard gate: bit-identity plus "

@@ -147,9 +147,9 @@ class StormCoalescer:
         #: real per-packet path).
         self.declined_rounds = 0
         #: Decline tally by eligibility check, for diagnosing why a
-        #: workload is not coalescing (``repro.bench.stormbench`` prints
-        #: it).  Declines already pay for a full per-packet round, so
-        #: the bookkeeping here is noise.
+        #: workload is not coalescing (sum it over a cluster's QPs, as
+        #: ``tests/test_mitigate.py`` does).  Declines already pay for
+        #: a full per-packet round, so the bookkeeping here is noise.
         self.decline_reasons: Dict[str, int] = {}
         #: Pure damming stalls observed: transport timeouts that fired
         #: with zero progress, i.e. windows the QP spent fully idle.

@@ -20,8 +20,8 @@ with the applications' access patterns, not the full app drivers):
 * ``tab13-spark``  — Spark-like wide shuffle: large READs fanned over
   many QPs on client-side ODP.
 
-``python -m repro mitigate`` renders the grid; ``bench/mitigatebench``
-snapshots it into ``BENCH_mitigation.json`` for the CI gate.
+``python -m repro mitigate`` renders the grid; ``tests/test_mitigate.py``
+gates its verdicts.
 """
 
 from __future__ import annotations

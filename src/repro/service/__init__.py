@@ -26,9 +26,9 @@ The headline artifact is the **interference matrix**
 throughput, and stall-time *attribution* — which tenant's
 damming/flood episode (found by ``telemetry.diagnose``) stalled which
 victim tenant's operations.  ``python -m repro tenants`` renders it;
-``bench/tenantbench.py`` gates that an ODP-flooding tenant measurably
+``tests/test_service.py`` checks that an ODP-flooding tenant measurably
 degrades a pinned neighbour under ``mitigation="none"`` and that a
-per-tenant strategy restores the victim's p99.
+per-tenant strategy contains the aggressor's episodes.
 
 Fleet scale (:mod:`repro.service.fleet`): a ``TenantFleetConfig``
 partitions many tenants into shared-RNIC cells (one per QP group) and

@@ -58,12 +58,6 @@ class ServiceCellConfig:
     min_rnr_timer_ns: int = round(1.28 * MS)
     max_rd_atomic: int = 16
     post_overhead_ns: int = 300
-    #: per-packet path by default: the storm coalescer's closed forms
-    #: model one workload's rounds, and cross-tenant link occupancy is
-    #: precisely the effect this tier exists to measure.  The knob stays
-    #: for experiments; the coalescer's exact-or-decline contract holds
-    #: either way.
-    coalesce: bool = False
     #: lazy payloads (no byte copies) — service metrics are timing and
     #: counter based, so the default skips the per-packet copies.
     integrity: bool = False
@@ -214,7 +208,10 @@ class ServiceCell:
         sim = cluster.sim
         client_node, server_node = cluster.nodes
         for node in cluster.nodes:
-            node.rnic.coalesce = config.coalesce
+            # The per-packet path: the storm coalescer's closed forms
+            # model one workload's rounds, and cross-tenant link
+            # occupancy is precisely the effect this tier measures.
+            node.rnic.coalesce = False
             if not config.integrity:
                 node.rnic.lazy_payloads = True
 

@@ -33,8 +33,8 @@ or, for entry points that build their own clusters (CLI figures)::
 
 Telemetry is **off by default**: no component holds a tracer until
 :meth:`Telemetry.attach` runs, experiment outputs are bit-identical
-either way, and enabling it costs ≤5% wall clock (``bench/tracebench.py``
-gates both claims).
+either way, and enabling it costs ≤5% (``bench/tracebench.py`` gates
+the cost in reference seconds, and the bit-identity of its metrics).
 """
 
 from __future__ import annotations

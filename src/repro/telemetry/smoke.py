@@ -55,7 +55,7 @@ def _damming_config(seed: int, odp: OdpSetup = OdpSetup.BOTH,
 def _flood_config(seed: int, num_qps: int, num_ops: int,
                   telemetry: Telemetry = None,
                   coalesce: bool = True) -> MicrobenchConfig:
-    """A fig09-shaped client-ODP flood point (stormbench's shape)."""
+    """A fig09-shaped client-ODP flood point (scalebench's storm rows)."""
     return MicrobenchConfig(size=400, num_ops=num_ops, num_qps=num_qps,
                             odp=OdpSetup.CLIENT, cack=14,
                             min_rnr_timer_ns=round(1.28 * MS),

@@ -12,9 +12,9 @@ import random
 
 import pytest
 
-from repro.bench.enginebench import SeedSimulator
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.timerwheel import LEVEL_SHIFTS
+from tests.seed_engine import SeedSimulator
 
 #: Beyond every wheel level's horizon: a timer this far out is armed
 #: straight into the main heap (heap-resident from the start).

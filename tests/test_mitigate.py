@@ -1,6 +1,8 @@
 """Mitigation layer: registry contract, ``strategy=none`` bit-identity
 against the un-knobbed build, fast-path decline semantics, pitfall
-efficacy judged by ``telemetry.diagnose``, eviction-storm robustness of
+efficacy judged by ``telemetry.diagnose``, the full strategy grid
+(scenario set, a mitigator per scenario plain and under chaos, a clean
+invariant monitor in every cell), eviction-storm robustness of
 dynamic-pin, and sweep/shard pass-through of the ``mitigation`` knob.
 """
 
@@ -14,7 +16,7 @@ from repro.experiments.fig09_flood import run_figure9
 from repro.experiments.shard import run_fleet
 from repro.ib.validate import InvariantMonitor
 from repro.mitigate import STRATEGIES, get_strategy, resolve_strategy
-from repro.mitigate.compare import run_cell, scenarios
+from repro.mitigate.compare import run_cell, run_compare, scenarios
 from repro.sim.timebase import MS, US
 from repro.telemetry import Telemetry
 from repro.telemetry.smoke import _damming_config, _flood_config, _surface
@@ -173,6 +175,35 @@ class TestEfficacy:
         assert row.flood_episodes == 0
         assert row.stalled_ms * 2 <= base.stalled_ms
         assert row.monitor_violations == 0
+
+
+class TestCompareGrid:
+    """The whole ``repro mitigate`` grid at fast size: every scenario,
+    plain and under its fixed chaos plan."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return run_compare(seed=0, fast=True, chaos=True)
+
+    def test_scenario_set(self, grid):
+        assert sorted({row.scenario for row in grid.rows}) == [
+            "fig04-damming", "fig09-flood", "fig12-argodsm", "tab13-spark"]
+
+    @pytest.mark.parametrize("chaos", [False, True],
+                             ids=["plain", "chaos"])
+    def test_every_scenario_exhibited_and_mitigated(self, grid, chaos):
+        for scenario in {row.scenario for row in grid.rows}:
+            none = grid.row(scenario, "none", chaos)
+            episodes = (none.damming_episodes if none.pitfall == "damming"
+                        else none.flood_episodes)
+            assert episodes >= 1, scenario
+            assert any(v.mitigated for v in grid.verdicts()
+                       if v.scenario == scenario and v.chaos == chaos), \
+                scenario
+
+    def test_monitor_clean_in_every_cell(self, grid):
+        assert [(row.scenario, row.strategy, row.chaos)
+                for row in grid.rows if row.monitor_violations] == []
 
 
 class TestDynamicPinUnderStorm:

@@ -1,8 +1,12 @@
 """Tests for reporting helpers and the CLI front end."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro import cli
+from repro.cli import BENCHES, EXPERIMENTS, main
 from repro.report import ascii_chart, format_table, histogram, summarize
 
 
@@ -91,3 +95,26 @@ class TestCli:
         assert main(["fig01", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "RNR NAK" in out
+
+
+class TestBenchGates:
+    @pytest.mark.parametrize("gate", sorted(BENCHES))
+    def test_gate_names_a_bench_and_a_committed_baseline(self, gate):
+        name, *argv = BENCHES[gate]
+        module = importlib.import_module(f"repro.bench.{name}")
+        assert callable(module.main)
+        root = Path(__file__).resolve().parents[1]
+        for flag, value in zip(argv, argv[1:]):
+            if flag == "--check":
+                assert (root / value).is_file(), value
+
+    def test_argparse_exit_does_not_hide_later_gates(self, monkeypatch,
+                                                     tmp_path, capsys):
+        monkeypatch.setattr(cli, "BENCHES", {
+            "first": ("scalebench", "--no-such-flag"),
+            "second": ("tracebench", "--no-such-flag"),
+        })
+        assert cli._bench_check_all(str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "CHECK FAILED: first crashed" in err
+        assert "CHECK FAILED: second crashed" in err

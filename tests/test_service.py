@@ -2,11 +2,11 @@
 
 Covers the frozen tenant config models, the seeded arrival generators,
 shared-RNIC cell execution, the ``tenant.<name>.`` counter key schema,
-the interference matrix (exhibit + containment), fleet sharding
-bit-identity, and tenant-scoped chaos windows.  The literal fingerprint
-pinning lives in BENCH_tenants.json (tenantbench --check); here the
-pins are cross-shard / cross-repeat equality, which is what protects
-the merge and relabel plumbing.
+the interference matrix (exhibit + containment, with its run
+fingerprints pinned literally at seed 0), fleet sharding bit-identity,
+and tenant-scoped chaos windows.  Cross-shard / cross-repeat equality
+protects the merge and relabel plumbing; the literal pins catch any
+change to what the matrix simulates.
 """
 
 import dataclasses
@@ -227,6 +227,18 @@ class TestInterferenceMatrix:
         # attribution names the aggressor as the owner of the stall
         assert any("flood-odp" in row
                    for row in none_run.attribution.values())
+        assert report.as_dict()["runs"]["none"]["attribution_ms"]
+
+    def test_fingerprints_pinned(self, report):
+        assert {run: result.fingerprint
+                for run, result in report.runs.items()} == {
+            "solo": "43ede704a392164a05dbdb72571328169900e5a9"
+                    "86a029be4c11acf43ce327c3",
+            "none": "a41446538ed52aa1161bab83b1207f5da2617133"
+                    "adc9760a008a4d6205f71d83",
+            "mitigated": "04b0112a37663dcdf21691a91478793d5101b8c5"
+                         "e4e43b2b7e30c4d16fe82d3c",
+        }
 
     def test_victims_degrade_under_sharing(self, report):
         for victim in report.victims:
@@ -293,6 +305,16 @@ class TestTenantFleet:
                    for s in scopes)
         assert any(s.startswith("tenant.") and ".rnic3." in s + "."
                    for s in scopes) or any(".rnic3.qp" in s for s in scopes)
+
+    def test_matrix_fleet_contained_and_shard_identical(self,
+                                                        monkeypatch):
+        monkeypatch.delenv("REPRO_SERIAL", raising=False)
+        one = run_tenant_matrix(seed=0, fast=True, copies=2, shards=1)
+        two = run_tenant_matrix(seed=0, fast=True, copies=2, shards=2)
+        assert one.contained()
+        for run in one.runs:
+            assert one.runs[run].fingerprint == two.runs[run].fingerprint
+            assert one.runs[run].counters == two.runs[run].counters
 
     def test_fleet_rejects_duplicate_tenant_names(self):
         from repro.service.fleet import TenantFleetConfig, tenant_groups
