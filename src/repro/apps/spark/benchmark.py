@@ -69,6 +69,11 @@ def _run_once(cell: SparkCell, odp_enabled: bool, seed: int,
                            else total_qps,
                            env=env, seed=seed, coalesce=coalesce,
                            record_completions=record_completions)
+    # Table 13 reads times, packets, timeouts and completions, never the
+    # fetched bytes: lazy payloads keep every one of them (tested) and
+    # let the storm coalescer memoise blind rounds.
+    for node in cluster.fabric.nodes:
+        node.rnic.lazy_payloads = True
     if telemetry is not None:
         telemetry.attach(cluster.fabric)
     # the traffic shape is identical for both runs; pinned registration

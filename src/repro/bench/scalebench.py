@@ -84,8 +84,8 @@ _STORM = dict(_FLOOD, cack=14, min_rnr_timer_ns=round(1.28 * MS))
 #: object-mode rep, so it gets one.  ``storm50`` is the storm at CI
 #: scale, deep enough that blind and joint rounds both engage;
 #: ``storm256`` is the deepest storm the fig09 grid reaches.  Smoke
-#: mode runs ``_SMOKE`` under their full-mode names (fewer repeats) so
-#: a smoke ``--check`` still compares against the committed baseline.
+#: mode runs ``_SMOKE`` under their full-mode names and repeats, so a
+#: smoke ``--check`` compares best-of-N against best-of-N.
 _WORKLOADS = {
     "qps1k": dict(_WINDOW1, num_qps=1024, num_ops=4096, repeats=5),
     "qps4k": dict(_WINDOW1, num_qps=4096, num_ops=16384, repeats=3),
@@ -235,10 +235,7 @@ def run_bench(smoke: bool, shard_smoke: bool = False,
         shard_names = tuple(_SHARD_WORKLOADS)
     workloads: Dict[str, Any] = {}
     for name in classic_names:
-        spec = dict(_WORKLOADS[name])
-        if smoke:
-            spec["repeats"] = 2
-        workloads[name] = _scale_point(**spec)
+        workloads[name] = _scale_point(**_WORKLOADS[name])
     for name in shard_names:
         spec = dict(_SHARD_WORKLOADS[name])
         pair_reference = spec.pop("pair_reference")

@@ -37,6 +37,9 @@ ReadyKey = Tuple[int, int, int, int]  # (qpn, mr.handle, addr, size)
 #: Stale ready-cache entries tolerated before a bulk purge.
 _READY_CACHE_LIMIT = 1 << 16
 
+#: The view of a page no QP holds.
+_NO_QPS: frozenset = frozenset()
+
 
 class OdpCoordinator:
     """Per-RNIC ODP bookkeeping."""
@@ -44,8 +47,8 @@ class OdpCoordinator:
     def __init__(self, sim: Simulator, rnic: "Rnic"):
         self.sim = sim
         self.rnic = rnic
-        #: per-QP page-status views: keys present = page usable by QP
-        self._view: Set[QpPageKey] = set()
+        #: per-QP page-status views, indexed by page: the QPs whose
+        #: view holds it (page usable by those QPs)
         self._view_by_page: Dict[PageKey, Set[int]] = {}
         #: (QP, page) updates requested but not yet processed
         self._stale: Set[QpPageKey] = set()
@@ -131,7 +134,7 @@ class OdpCoordinator:
             self.ready_cache_hits += 1
             return hit[2]
         self.ready_cache_misses += 1
-        view = self._view
+        views = self._view_by_page
         mapped = translation._mapped  # noqa: SLF001 - same-device fast path
         # ``mr.pages_of_range`` inlined (it is a static page-index
         # computation): the client-side flood re-checks the same cold
@@ -144,15 +147,17 @@ class OdpCoordinator:
             first = addr // PAGE_SIZE
             last = (addr + size - 1) // PAGE_SIZE
             if first == last:
-                if ((handle, first) not in mapped
-                        or (qpn, handle, first) not in view) \
-                        and (handle, first) not in pinned:
+                page_key = (handle, first)
+                if (page_key not in mapped
+                        or qpn not in views.get(page_key, _NO_QPS)) \
+                        and page_key not in pinned:
                     verdict = False
             else:
                 for page in range(first, last + 1):
-                    if ((handle, page) not in mapped
-                            or (qpn, handle, page) not in view) \
-                            and (handle, page) not in pinned:
+                    page_key = (handle, page)
+                    if (page_key not in mapped
+                            or qpn not in views.get(page_key, _NO_QPS)) \
+                            and page_key not in pinned:
                         verdict = False
                         break
         self._ready_cache[key] = (vgen, tgen, verdict)
@@ -182,7 +187,8 @@ class OdpCoordinator:
             ready = Future(label=f"fresh:{key}")
             ready.resolve(page)
             return ready
-        if self.rnic.translation.is_mapped(mr, page) and key in self._view:
+        if self.rnic.translation.is_mapped(mr, page) \
+                and qpn in self._view_by_page.get((mr.handle, page), _NO_QPS):
             ready = Future(label=f"fresh:{key}")
             ready.resolve(page)
             return ready
@@ -229,7 +235,6 @@ class OdpCoordinator:
                 self._stale_by_qpn.pop(qpn, None)
             else:
                 self._stale_by_qpn[qpn] = remaining
-        self._view.add(key)
         self._view_by_page.setdefault((key[1], key[2]), set()).add(key[0])
         self._fresh_futures.pop(key, None)
         tel = self.rnic.telemetry
@@ -321,7 +326,6 @@ class OdpCoordinator:
         for page in mr.pages_of_range(addr, size):
             mr.vm._restore_or_materialise(page)  # noqa: SLF001
             self.rnic.translation.map_page(mr, page)
-            self._view.update((qpn, handle, page) for qpn in qpns)
             self._view_by_page.setdefault((handle, page), set()).update(qpns)
         self._bump_view_gen()
 
@@ -331,12 +335,8 @@ class OdpCoordinator:
 
     def on_page_invalidated(self, mr: "MemoryRegion", page: int) -> None:
         """Purge every QP's view of an invalidated page."""
-        qpns = self._view_by_page.pop((mr.handle, page), None)
-        if not qpns:
-            return
-        for qpn in qpns:
-            self._view.discard((qpn, mr.handle, page))
-        self._bump_view_gen()  # cached "ready" verdicts are now stale
+        if self._view_by_page.pop((mr.handle, page), None):
+            self._bump_view_gen()  # cached "ready" verdicts are now stale
 
     # ------------------------------------------------------------------
 

@@ -15,6 +15,15 @@ mapping change (fault resolution installing a page, invalidation or
 deregistration removing one) bumps, so a stale entry can never be
 served: resolved pages stop paying the per-page dictionary walk, and an
 eviction instantly re-opens the walk.
+
+A second counter, :attr:`NicTranslationTable.unmap_generation`, is
+bumped by removals only (a real :meth:`unmap_page` flush, not a sticky
+save, and :meth:`unmap_all`).  It suits caches that only ever hold
+"every page mapped" verdicts, such as the storm coalescer's blind-round
+memo: installing a translation cannot make a mapped range unmapped, so
+only a removal can stale them.  Caches that hold "not mapped" verdicts
+(the range cache here, the requester ready-cache) must keep the full
+generation, because a map flips those.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ class NicTranslationTable:
         #: cannot flush them — only an explicit unpin or deregistration.
         self._sticky: Set[PageKey] = set()
         self._gen = 0
+        self._unmap_gen = 0
         self.map_events = 0
         self.unmap_events = 0
         self.sticky_saves = 0
@@ -53,6 +63,11 @@ class NicTranslationTable:
     def generation(self) -> int:
         """Mapping-change counter; any bump invalidates cached ranges."""
         return self._gen
+
+    @property
+    def unmap_generation(self) -> int:
+        """Removal counter; a bump can only take translations away."""
+        return self._unmap_gen
 
     def _bump(self) -> None:
         self._gen += 1
@@ -122,6 +137,7 @@ class NicTranslationTable:
         if key in self._mapped:
             self._mapped.remove(key)
             self.unmap_events += 1
+            self._unmap_gen += 1
             self._bump()
 
     def unmap_all(self, mr: "MemoryRegion") -> int:
@@ -137,6 +153,7 @@ class NicTranslationTable:
             self._mapped.remove(key)
         self.unmap_events += len(keys)
         if keys:
+            self._unmap_gen += 1
             self._bump()
         return len(keys)
 

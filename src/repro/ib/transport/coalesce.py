@@ -43,12 +43,12 @@ PSNs, same responder view, links idle at the tick — the first synthesis
 of a round memoises its whole closed form (aggregate counters, the
 timeline relative to the tick, capture-row template) in a
 :class:`_BlindRound`.  Subsequent ticks revalidate the memo with O(W)
-identity/equality checks (same WQE objects and PSNs, same ePSN, same
-translation generation, same MRs, links idle) and re-apply it without
-touching the fabric arithmetic at all; any mismatch falls back to the
-full derivation.  This is what makes a coalesced round an order of
-magnitude cheaper than its per-packet replay rather than merely
-cheaper.
+identity/equality checks (same WQE objects and PSNs, same ePSN, no
+translation removed on the peer since, same MRs, links idle) and
+re-apply it without touching the fabric arithmetic at all; any mismatch
+falls back to the full derivation.  This is what makes a coalesced
+round an order of magnitude cheaper than its per-packet replay rather
+than merely cheaper.
 
 ``RNIC.coalesce`` is the one switch for every tier: single-QP blind
 rounds (memoised after the first), joint multi-QP rounds and fleet
@@ -112,7 +112,7 @@ class _BlindRound:
     scheduled event by construction).
     """
 
-    __slots__ = ("emit", "psns", "epsn", "tgen", "peer_qp", "mrs",
+    __slots__ = ("emit", "psns", "epsn", "ugen", "peer_qp", "mrs",
                  "head_mr", "head_addr", "head_chunk", "count",
                  "responses", "req_bytes", "resp_bytes", "rel_span",
                  "rel_interact", "rel_busy", "rel_flaw_until", "rel_rows",
@@ -487,10 +487,11 @@ class StormCoalescer:
         resp = peer_qp.responder
         if resp.epsn != c.epsn:
             return None
-        # Same generation ⟹ identical translation verdicts: every
-        # duplicate still finds its pages DMA-able (or not) exactly as
-        # when the memo was built.
-        if peer_rnic.translation.generation != c.tgen:
+        # The memo is only built when every duplicate's range is
+        # DMA-able, and installing a translation cannot unmap one: with
+        # no removal since the build, every duplicate still finds its
+        # pages DMA-able.
+        if peer_rnic.translation.unmap_generation != c.ugen:
             return None
         for rkey, rmr in c.mrs:
             if peer_rnic.mr_by_rkey(rkey) is not rmr:
@@ -724,7 +725,7 @@ class StormCoalescer:
             c.emit = tuple(emit)
             c.psns = tuple(wqe.first_psn for wqe in emit)
             c.epsn = resp.epsn
-            c.tgen = peer_rnic.translation.generation
+            c.ugen = peer_rnic.translation.unmap_generation
             c.peer_qp = peer_qp
             c.mrs = tuple(rmrs.items())
             c.head_mr = mr
@@ -890,7 +891,7 @@ class StormCoalescer:
         if not worklist:
             return
         odp = rnic.odp
-        tgen_now = peer_rnic.translation.generation
+        ugen_now = peer_rnic.translation.unmap_generation
         get_peer_qp = peer_rnic._qps.get  # noqa: SLF001
         get_peer_mr = peer_rnic._mrs_by_rkey.get  # noqa: SLF001
         qp_error = QpState.ERROR
@@ -954,7 +955,7 @@ class StormCoalescer:
                         or peer_qp.state is qp_error):
                     break
                 resp = peer_qp.responder
-                if resp.epsn != c.epsn or c.tgen != tgen_now:
+                if resp.epsn != c.epsn or c.ugen != ugen_now:
                     break
                 stale_mr = False
                 for rkey, rmr in c.mrs:
@@ -1165,8 +1166,8 @@ class StormCoalescer:
             return None
         # Steady-state members replay their own memoised round: under
         # exactly the validity conditions of :meth:`_blind_fast` (same
-        # peer, same WQE sequence, frozen ePSN, same translation
-        # generation, same MR registrations, lazy payloads) every
+        # peer, same WQE sequence, frozen ePSN, no peer translation
+        # removed, same MR registrations, lazy payloads) every
         # per-WQE verdict below is unchanged since the memo was built,
         # so only the dynamic head checks need re-evaluating.
         c = coalescer._blind_cache  # noqa: SLF001
@@ -1174,7 +1175,7 @@ class StormCoalescer:
                 and peer_rnic.lazy_payloads
                 and coalescer._retransmit_matches(c.emit)  # noqa: SLF001
                 and peer_qp.responder.epsn == c.epsn
-                and peer_rnic.translation.generation == c.tgen
+                and peer_rnic.translation.unmap_generation == c.ugen
                 and all(peer_rnic.mr_by_rkey(rkey) is rmr
                         for rkey, rmr in c.mrs)):
             if not c.emit[0].fault_wait_registered:

@@ -190,6 +190,26 @@ class TestTranslationRangeCache:
         table.unmap_page(mr, 99)    # never mapped
         assert table.generation == gen
 
+    def test_unmap_generation_counts_removals_only(self):
+        """The storm memo's stamp: maps and sticky saves leave it, real
+        removals (a flush or a deregistration) bump it."""
+        table = NicTranslationTable()
+        mr = _MrStub()
+        table.map_range(mr, 0, 3 * PAGE_SIZE)
+        assert table.generation == 3
+        assert table.unmap_generation == 0
+        table.unmap_page(mr, 0)
+        assert table.unmap_generation == 1
+        table.unmap_page(mr, 0)     # already gone
+        table.pin_page(mr, 1)
+        table.unmap_page(mr, 1)     # sticky save
+        assert table.sticky_saves == 1
+        assert table.unmap_generation == 1
+        table.map_page(mr, 0)
+        assert table.unmap_generation == 1
+        assert table.unmap_all(mr) == 3
+        assert table.unmap_generation == 2
+
     def test_ready_cache_exercised_under_flood(self):
         clusters = []
         run_microbench(

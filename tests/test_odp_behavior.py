@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 from repro.host.cluster import build_pair
+from repro.host.memory import PAGE_SIZE
 from repro.ib.device import get_device
 from repro.ib.verbs.enums import Access, OdpMode, WcStatus
 from repro.ib.verbs.qp import QpAttrs
@@ -113,6 +114,36 @@ class TestFaultMachinery:
         cluster.sim.run_until_idle()
         assert client.buf.read(8, 8) == b"precious"
         assert server.node.driver.faults_served == 2
+
+    def test_invalidation_purges_every_prewarmed_view(self):
+        """``prewarm_views`` warms a page for many QPs at once; reclaim
+        must purge every one of those views, not just the translation."""
+        cluster, client, server = make_connected_pair(
+            client_odp=OdpMode.EXPLICIT, populate=False)
+        odp = client.node.rnic.odp
+        qpns = [client.qp.qpn] + [client.pd.create_qp(client.cq).qpn
+                                  for _ in range(3)]
+        mr, addr = client.mr, client.buf.addr(0)
+        odp.prewarm_views(qpns, mr, addr, 2 * PAGE_SIZE)
+        assert all(odp.requester_range_ready(qpn, mr, addr, 2 * PAGE_SIZE)
+                   for qpn in qpns)
+        page = client.buf.pages()[0]
+        assert client.node.vm.evict(page)
+        cluster.sim.run_until_idle()
+        # Reinstall the translation alone: the views must stay cold.
+        client.node.rnic.translation.map_page(mr, page)
+        for qpn in qpns:
+            assert not odp.requester_range_ready(qpn, mr, addr, PAGE_SIZE)
+            assert odp.requester_range_ready(qpn, mr, addr + PAGE_SIZE,
+                                             PAGE_SIZE)
+        # The first QP pays its own status update to get the page back.
+        fresh = odp.requester_wait_fresh(qpns[0], mr, addr, PAGE_SIZE)
+        assert not fresh.done
+        cluster.sim.run_until_idle()
+        assert fresh.done
+        assert odp.requester_range_ready(qpns[0], mr, addr, PAGE_SIZE)
+        assert not any(odp.requester_range_ready(qpn, mr, addr, PAGE_SIZE)
+                       for qpn in qpns[1:])
 
     def test_pinned_pages_resist_eviction(self):
         cluster, client, server = make_connected_pair()

@@ -211,6 +211,75 @@ class TestFleetSweeps:
         assert done.returncode == 0, done.stderr
 
 
+class TestBlindMemoValidity:
+    """The blind-round memo is stamped with the peer's
+    ``unmap_generation``: translations the server installs mid-storm
+    leave it valid, a removal drops it."""
+
+    def test_replays_across_peer_maps_and_drops_on_unmap(self,
+                                                         monkeypatch):
+        builds = {}    # memo -> (coalescer, generation, unmap generation)
+        replays = []   # (memo, generation, unmap generation) per replay
+        blind_fast = StormCoalescer._blind_fast
+        blind_slow = StormCoalescer._blind_slow
+
+        def fast(self, peer, emit, c, t=None, fleet_event=None):
+            applied = blind_fast(self, peer, emit, c, t=t,
+                                 fleet_event=fleet_event)
+            if applied is True:
+                table = peer[1].translation
+                replays.append((c, table.generation,
+                                table.unmap_generation))
+            return applied
+
+        def slow(self, peer, emit, head):
+            before = self._blind_cache
+            applied = blind_slow(self, peer, emit, head)
+            c = self._blind_cache
+            if c is not None and c is not before:
+                table = peer[1].translation
+                builds[c] = (self, table.generation,
+                             table.unmap_generation)
+            return applied
+
+        def invalidate_mid_storm(cluster):
+            # The storm runs from about 30 to 210 ms of this 213 ms run;
+            # at 100 ms the kernel reclaims the first server page.
+            rnic = cluster.nodes[1].rnic
+
+            def reclaim():
+                mr = next(mr for mr in rnic._mrs_by_rkey.values()
+                          if mr.mode.is_odp)
+                page = mr.pages_of_range(mr.addr, mr.length)[0]
+                assert rnic.translation.is_mapped(mr, page)
+                rnic.driver.invalidate(rnic, mr, page)
+
+            cluster.sim.schedule(100 * MS, reclaim)
+
+        def run(coalesce):
+            return run_microbench(
+                _flood_config(coalesce, num_qps=64, num_ops=512,
+                              odp=OdpSetup.BOTH),
+                on_cluster=invalidate_mid_storm)
+
+        monkeypatch.setattr(StormCoalescer, "_blind_fast", fast)
+        monkeypatch.setattr(StormCoalescer, "_blind_slow", slow)
+        on = run(True)
+        off = run(False)
+        assert _metrics(on) == _metrics(off)
+        # Server faults resolved after a memo was built do not stop it
+        # replaying...
+        assert any(gen != builds[c][1] for c, gen, _u in replays)
+        # ...but no memo replays across the reclaim: QPs that held one
+        # from before it re-derive and build a fresh one.
+        assert all(ugen == builds[c][2] for c, _g, ugen in replays)
+        stamps = {}
+        for owner, _gen, ugen in builds.values():
+            stamps.setdefault(owner, set()).add(ugen)
+        assert any(len(seen) > 1 for seen in stamps.values())
+        assert any(ugen > 0 for _c, _g, ugen in replays)
+
+
 class TestObserverGating:
     @pytest.mark.parametrize("num_qps, num_ops",
                              [(10, 128), (25, 256), (64, 512)])

@@ -139,3 +139,29 @@ class TestEntryPoints:
         assert config.fleet_workload == "spark"
         import pickle
         assert pickle.loads(pickle.dumps(config)).fleet_workload == "spark"
+
+
+class TestLazyPayloads:
+    def test_lazy_and_real_payloads_measure_the_same_cell(self,
+                                                          monkeypatch):
+        """Table 13 runs on lazy payloads; the same cell forced onto
+        real bytes must report identical times, packets, timeouts,
+        completions, counters and telemetry fingerprint."""
+        from repro.ib.rnic import Rnic
+
+        def surface():
+            fleet = run_fleet(_config(), shards=1,
+                              collect=("counters", "fingerprint"))
+            return (dataclasses.asdict(fleet.result),
+                    fleet.counters.identity_surface(), fleet.fingerprint)
+
+        lazy = surface()
+        # Every RNIC now reads ``lazy_payloads`` as False and ignores
+        # the benchmark's switch: real bytes end to end.
+        monkeypatch.setattr(Rnic, "lazy_payloads",
+                            property(lambda self: False,
+                                     lambda self, value: None),
+                            raising=False)
+        real = surface()
+        assert lazy[0]["completions"]
+        assert lazy == real
