@@ -2,8 +2,10 @@
 
 Every module exposes a ``run_*`` function returning a result object
 with a ``render()`` method producing the paper-shaped text output
-(rows for tables, ASCII series for figures).  The benchmark suite under
-``benchmarks/`` calls these and records paper-vs-measured comparisons.
+(rows for tables, ASCII series for figures).  Tier-1 calls these:
+``tests/test_paper_claims.py`` asserts the paper's shapes and
+``tests/test_golden_renders.py`` pins each render byte for byte
+against its committed file under ``tests/golden/``.
 
 | Module | Reproduces |
 |---|---|

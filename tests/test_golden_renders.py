@@ -1,61 +1,43 @@
-"""Golden pins for committed figure renders.
+"""Read-only golden pins: every committed render, byte for byte.
 
-Figures 1, 5 and 8 render packet captures taken by a default
-:class:`~repro.capture.sniffer.Sniffer`.  Their renders must equal the
-committed files under ``benchmarks/results/`` byte for byte: a change to
-how captures are taken (synthetic rows for coalesced rounds included)
-or to the protocol behaviour they show breaks these pins.
+Each file under ``tests/golden/`` is the render of one entry of the
+render table in :mod:`tests.test_paper_claims`, and must equal it byte
+for byte: a change to the protocol model, to how captures are taken
+(synthetic rows for coalesced rounds included) or to a render moves a
+pin.  No test writes a golden; ``tests/regen_goldens.py`` renders them
+serially, so the goldens are the serial oracle.
 
-Figures 2 and 12 are swept grids; they are pinned serially and across
-two worker processes, so neither the protocol model nor the sweep's
+The swept entries run pooled on :data:`POOLED` workers, and Figures 2
+and 12 also serially, so neither the protocol model nor a sweep's
 placement can move a committed number.
 """
 
-from pathlib import Path
-
 import pytest
 
-from repro.bench.microbench import OdpSetup
-from repro.experiments.fig01_workflow import run_figure1
-from repro.experiments.fig05_workflow import run_figure5
-from repro.experiments.fig02_timeout import run_figure2
-from repro.experiments.fig08_workflow import run_figure8
-from repro.experiments.fig12_argodsm import run_figure12
-
-RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+from tests.test_paper_claims import (
+    GOLDEN_DIR, POOLED, RENDERS, SWEEP_RENDERS, outcome, run_once)
 
 
-def _fig01() -> str:
-    server, client = run_figure1()
-    return server.render() + "\n\n" + client.render()
+def _golden(name: str) -> str:
+    return (GOLDEN_DIR / f"{name}.txt").read_text()
 
 
-@pytest.mark.parametrize("name, render", [
-    ("fig01_workflows", _fig01),
-    ("fig05_server_side",
-     lambda: run_figure5(OdpSetup.SERVER, 1.0).render()),
-    ("fig05_client_side",
-     lambda: run_figure5(OdpSetup.CLIENT, 0.3).render()),
-    ("fig08_workflow", lambda: run_figure8(interval_ms=3.0).render()),
-])
+def test_every_golden_has_a_render():
+    names = {path.stem for path in GOLDEN_DIR.glob("*.txt")}
+    assert names == set(RENDERS) | set(SWEEP_RENDERS)
+
+
+@pytest.mark.parametrize("name, render", list(RENDERS.items()))
 def test_render_matches_committed_golden(name, render):
-    golden = (RESULTS / f"{name}.txt").read_text()
-    assert render() + "\n" == golden
+    assert run_once(render)[1] + "\n" == _golden(name)
 
 
-_SWEEP_RENDERS = {
-    "fig02_timeouts": lambda processes: run_figure2(
-        cacks=[1, 4, 8, 10, 12, 14, 16, 18, 20, 21],
-        processes=processes).render(),
-    "fig12_knl": lambda processes: run_figure12(
-        "KNL (2 nodes)", trials=40, processes=processes).render(),
-    "fig12_reedbush-h": lambda processes: run_figure12(
-        "Reedbush-H (2 nodes)", trials=40, processes=processes).render(),
-}
+#: Table 13 takes ~45 s serially, so its serial run is left to
+#: ``regen_goldens.py`` and CI's parallel identity smoke.
+_SWEEP_CASES = [(name, 1) for name in SWEEP_RENDERS if name != "tab13_spark"] \
+    + [(name, POOLED) for name in SWEEP_RENDERS]
 
 
-@pytest.mark.parametrize("processes", [1, 2])
-@pytest.mark.parametrize("name", list(_SWEEP_RENDERS))
+@pytest.mark.parametrize("name, processes", _SWEEP_CASES)
 def test_sweep_render_matches_committed_golden(name, processes):
-    golden = (RESULTS / f"{name}.txt").read_text()
-    assert _SWEEP_RENDERS[name](processes) + "\n" == golden
+    assert outcome(name, processes)[1] + "\n" == _golden(name)

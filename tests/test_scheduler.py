@@ -77,14 +77,6 @@ class TestFigureWiring:
     """The figure entry points run on the weighted sweep; their outputs must
     not depend on placement."""
 
-    def test_tab13_cells_bit_identical(self):
-        from repro.apps.spark.workloads import SPARK_CELLS
-        from repro.experiments.tab13_spark import run_table13
-        cells = [SPARK_CELLS[0], SPARK_CELLS[3]]
-        serial = run_table13(cells=cells, processes=1)
-        parallel = run_table13(cells=cells, processes=4)
-        assert serial.render() == parallel.render()
-
     def test_fig09_grouped_invariant_across_placement(self):
         # A grouped fig09 point is *defined* over per-group RNG streams
         # (a different, equally valid fleet definition — not the
