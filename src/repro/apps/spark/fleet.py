@@ -2,7 +2,7 @@
 
 The paper's Table 13 tops out at 2858 QPs per cell because one Python
 process simulating one monolithic shuffle is the ceiling.  This module
-defines the ``"spark"`` fleet workload for
+defines the spark fleet workload for
 :mod:`repro.experiments.shard`: a cell's traffic shape re-expressed as
 ``num_groups`` independent client/server QP groups, each a hermetic
 :class:`~repro.apps.spark.engine.SparkCluster` with its private RNG
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, FrozenSet, List, Sequence, Tuple
 
 from repro.apps.spark.workloads import WORKLOADS, get_cell
 from repro.experiments.shard import (
@@ -46,8 +46,8 @@ from repro.experiments.shard import (
     GroupSpec,
     ShardPlanError,
     _ordered,
-    group_seed,
-    register_fleet_workload,
+    group_specs,
+    merge_completions,
 )
 
 
@@ -73,9 +73,9 @@ class SparkFleetConfig:
     coalesce: bool = True
     telemetry: Any = field(default=None, compare=False, repr=False)
 
-    # registry key for repro.experiments.shard (class attribute, not a
-    # dataclass field: replace()/pickle round-trips leave it alone)
-    fleet_workload = "spark"
+    # set below; a class attribute, not a dataclass field, so
+    # replace()/pickle round-trips leave it alone
+    fleet_workload: ClassVar[FleetWorkload]
 
 
 def fleet_fit(config: SparkFleetConfig):
@@ -104,8 +104,8 @@ def group_cold_pages(total: int, num_groups: int, index: int) -> int:
 def spark_groups(config: SparkFleetConfig) -> List[GroupSpec]:
     """Split a fleet config into its QP groups.
 
-    Group ``g`` owns synthetic fleet LIDs ``2g+1``/``2g+2`` (disjoint by
-    construction, proven by the planner) and ``qps/num_groups`` QPs.
+    Every group owns ``qps/num_groups`` QPs and its own LID pair
+    (:class:`GroupSpec` derives the LIDs from the group index).
     ``num_ops`` records the group's structural READ count — rounds x
     fetches x QPs — which is also the wr_id span the merge globalises.
     """
@@ -126,10 +126,7 @@ def spark_groups(config: SparkFleetConfig) -> List[GroupSpec]:
             f"same shape")
     rounds = WORKLOADS[config.workload].rounds
     ops = rounds * fetches * group_qps
-    return [GroupSpec(index=g, client_lid=2 * g + 1, server_lid=2 * g + 2,
-                      num_qps=group_qps, num_ops=ops, wr_base=g * ops,
-                      seed=group_seed(config.seed, g))
-            for g in range(num_groups)]
+    return group_specs(config.seed, [(group_qps, ops)] * num_groups)
 
 
 @dataclass
@@ -149,10 +146,10 @@ def _relabel(registry, phase: str, spec: GroupSpec, workers: int
     """Group-local counter scopes -> fleet-global, phase-qualified.
 
     Local RNIC ``l`` of group ``g`` becomes ``rnic{g*workers+l}`` —
-    collision-free across groups, and equal to the planner's synthetic
-    LID tokens for the two-worker cells the table uses.  The ODP phase
-    prefixes the scope so enable-side flood counters never sum into the
-    disable baseline.
+    collision-free across groups, and equal to the group's
+    :class:`GroupSpec` LIDs for the two-worker cells the table uses.
+    The ODP phase prefixes the scope so enable-side flood counters
+    never sum into the disable baseline.
     """
     from repro.experiments.shard import _relabel_scope
 
@@ -254,12 +251,6 @@ def merge_spark(config: SparkFleetConfig,
     """
     ordered = _ordered(group_results)
     runs = [group.result for group in ordered]
-    keyed = []
-    for group in ordered:
-        for position, completion in enumerate(group.result.completions):
-            keyed.append(((completion[1], group.index, position),
-                          completion))
-    keyed.sort(key=lambda pair: pair[0])
     return SparkFleetResult(
         workload=config.workload,
         system=config.system,
@@ -270,11 +261,10 @@ def merge_spark(config: SparkFleetConfig,
         enable_timeouts=sum(run.enable_timeouts for run in runs),
         enable_packets=sum(run.enable_packets for run in runs),
         disable_packets=sum(run.disable_packets for run in runs),
-        completions=[completion for _key, completion in keyed],
+        completions=merge_completions(ordered),
     )
 
 
-register_fleet_workload(FleetWorkload(name="spark",
-                                      groups=spark_groups,
-                                      run_group=_run_spark_group,
-                                      merge=merge_spark))
+SparkFleetConfig.fleet_workload = FleetWorkload(groups=spark_groups,
+                                                run_group=_run_spark_group,
+                                                merge=merge_spark)

@@ -30,7 +30,6 @@ is spawned once and reused — results are bit-identical either way.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import (Callable, Iterable, Iterator, List, Optional,
@@ -61,13 +60,18 @@ def serial_forced() -> bool:
 
 
 def default_jobs() -> int:
-    """Worker count used when ``processes`` is not given."""
+    """Worker count used when ``processes`` is not given.
+
+    Raises :class:`ValueError` when ``REPRO_JOBS`` is set but is not an
+    integer, rather than silently using every core.
+    """
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(f"REPRO_JOBS={env!r} is not an integer "
+                             "worker count") from None
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -89,58 +93,31 @@ class _SweepSession:
 
     The pool is spawned on the first parallel sweep inside the session
     (a session whose sweeps all short-circuit to serial never forks) and
-    shut down when the session exits.  A ``ProcessPoolExecutor`` cannot
-    add workers in place, so when a later sweep asks for more jobs than
-    the pool holds, an *unpinned* session replaces the pool with a wider
-    one (``grown`` counts replacements); a session whose ``processes``
-    was pinned explicitly keeps its width and emits a one-shot
-    :class:`RuntimeWarning` naming the effective job count, since the
-    pin was a deliberate cap.  Either way results are unchanged — pool
-    width only moves work between processes.
+    shut down when the session exits.  It is never replaced: its width
+    is the session's ``processes`` when pinned, otherwise the first
+    pooled sweep's job count, and a later sweep that asks for more jobs
+    runs at that width.  Results are unchanged either way — pool width
+    only moves work between processes.
     """
 
     def __init__(self, processes: Optional[int] = None):
         self.processes = processes
         self.pool: Optional[ProcessPoolExecutor] = None
-        #: current pool width (0 before the first parallel sweep).
-        self.workers = 0
-        #: times the pool was replaced by a wider one (tests/diagnostics).
-        self.grown = 0
         #: sweeps that went through the pooled path (tests/diagnostics).
         self.pooled_sweeps = 0
-        self._warned_capped = False
 
     def executor(self, jobs: int) -> ProcessPoolExecutor:
-        """The session pool, sized for ``jobs`` workers.
-
-        Created on first use; grown (unpinned sessions) or capped with a
-        one-shot warning (pinned sessions) when ``jobs`` exceeds the
-        current width.
-        """
+        """The session pool, created on first use with ``processes``
+        workers if pinned, else ``jobs``."""
         if self.pool is None:
             workers = self.processes if self.processes is not None else jobs
-            self.workers = max(1, workers)
-            self.pool = _make_pool(self.workers)
-        elif jobs > self.workers:
-            if self.processes is None:
-                self.pool.shutdown()
-                self.workers = max(1, jobs)
-                self.pool = _make_pool(self.workers)
-                self.grown += 1
-            elif not self._warned_capped:
-                self._warned_capped = True
-                warnings.warn(
-                    "sweep requested %d jobs but the session pool is "
-                    "pinned to %d workers; running with %d"
-                    % (jobs, self.workers, self.workers),
-                    RuntimeWarning, stacklevel=3)
+            self.pool = _make_pool(workers)
         return self.pool
 
     def close(self) -> None:
         if self.pool is not None:
             self.pool.shutdown()
             self.pool = None
-            self.workers = 0
 
 
 @contextmanager
@@ -160,7 +137,8 @@ def sweep_session(processes: Optional[int] = None
     Sessions nest by reusing the innermost active session's pool, so a
     helper that opens its own session composes with a caller that
     already did.  ``processes`` pins the pool's worker count; by default
-    the first parallel sweep's job count decides.
+    the first parallel sweep's job count decides, and the width never
+    changes for the rest of the session.
     """
     global _SESSION
     if _SESSION is not None:

@@ -4,9 +4,8 @@ The paper's worst pitfalls only bite at fleet scale (the tab13 Spark
 degradation, fig09's flood at thousands of stale QPs), but one Python
 process is a hard ceiling however fast its storm fast paths are.  This
 module adds the tier above :mod:`repro.ib.transport.coalesce`: a fleet
-workload is *partitioned into QP-group shards* — client/server pairs
-that provably never share a link-arbitration dependency — and each
-shard runs as a full :class:`~repro.sim.engine.Simulator` instance in
+workload is split into client/server QP groups, and each group runs
+as a full :class:`~repro.sim.engine.Simulator` instance, possibly in
 a worker process.  The partial results are
 then merged **deterministically**: counters summed in canonical key
 order, completions and capture rows k-way merged by
@@ -15,24 +14,18 @@ fingerprints combined in canonical group order.  The merged output is
 bit-identical whatever the shard count or worker scheduling — 1, 2 and
 8 shards produce the same bytes (tested).
 
-Why the partition is exact
---------------------------
+Groups are disjoint by construction
+-----------------------------------
 
 The fabric's only serialising resources are the per-LID link directions
 (:class:`repro.net.link.LinkEnd` transmitters); the crossbar switch
-applies a fixed cut-through latency with no cross-port contention
-(:class:`repro.net.switch.Switch`).  Traffic between LID pair ``(a, b)``
-therefore only ever occupies the four link ends of ``a`` and ``b`` —
-two QP groups interact **iff their LID sets intersect**.  The fabric
-exports this contract directly (:meth:`repro.net.network.Network.serializers`
-enumerates a LID's arbitration points;
-:meth:`~repro.net.network.Network.independent` checks two LID sets share
-none), and the tests assert it against a live topology.  The planner
-(:func:`plan_shards`) builds exactly that interference graph and unions
-groups into arbitration components; disjoint components share *nothing*
-(per-QP go-back-N state shares nothing across QP pairs), so simulating
-them in separate engines is not an approximation but a refactoring of
-one big event loop into independent ones.
+applies a fixed cut-through latency with no cross-port contention.  A
+:class:`GroupSpec` derives its LIDs from its index — group ``g`` owns
+``2g+1`` (client) and ``2g+2`` (server) — so no two groups share a
+link, and per-QP go-back-N state shares nothing across QP pairs.
+Simulating groups in separate engines is therefore not an
+approximation but a refactoring of one big event loop into
+independent ones, and any packing of groups onto shards is exact.
 
 Each group owns its private RNG stream (its ``Simulator`` is seeded
 from :func:`group_seed`), which is what makes the decomposition closed:
@@ -42,29 +35,26 @@ The fleet workload is therefore **defined** over per-group streams —
 the same definition whether one process runs every group or eight
 workers split them.
 
-Fallback, not silent mis-merge: when every group lands in one
-arbitration component (all QPs contending on a shared switch port, the
-classic single-pair microbench), or when a process-wide observer is
-armed (``Cluster.instrument``, an attached telemetry session), the plan
+Fallback, not silent loss: when a process-wide observer is armed
+(``Cluster.instrument``, an attached telemetry session), the plan
 collapses to one in-process shard and records why — results stay
 correct, only the parallelism is declined.
 
-Fleet workloads are pluggable: a config class names its workload via a
-``fleet_workload`` attribute (default ``"microbench"``), and the
-registry maps that name to the three workload-specific operations —
-splitting a config into :class:`GroupSpec` s, running one group, and
-merging the per-group results.  The planner, the worker entry point,
-the hazard contract and the artifact merge (counters, fingerprints,
-capture) are shared.  ``"spark"``
-(:mod:`repro.apps.spark.fleet`) reuses all of it to scale the tab13
-mini-Spark workload to 10k+ QPs.
+A fleet config class carries its :class:`FleetWorkload` in a
+``fleet_workload`` class attribute: the three workload-specific
+operations — splitting a config into :class:`GroupSpec` s, running one
+group, and merging the per-group results.  A config without one
+(:class:`~repro.bench.microbench.MicrobenchConfig`) is a microbench
+fleet.  The planner, the worker entry point, the hazard contract and
+the artifact merge (counters, fingerprints, capture) are shared by
+:mod:`repro.apps.spark.fleet` (tab13 at 10k+ QPs) and
+:mod:`repro.service.fleet` (tenant matrices).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     Optional, Sequence, Tuple)
@@ -90,10 +80,6 @@ def group_seed(seed: int, index: int) -> int:
     return seed * GROUP_SEED_STRIDE + index
 
 
-# ----------------------------------------------------------------------
-# Workload registry
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class FleetWorkload:
     """The three operations a fleet workload must provide.
@@ -107,47 +93,16 @@ class FleetWorkload:
     workload-independent and shared.
     """
 
-    name: str
     groups: Callable[[Any], List["GroupSpec"]]
     run_group: Callable[..., "GroupResult"]
     merge: Callable[[Any, Sequence["GroupResult"]], Any]
 
 
-_WORKLOADS: Dict[str, FleetWorkload] = {}
-
-#: Workloads registered on import of their home module.  Lazy so the
-#: shard layer never drags application packages in, and so a worker
-#: process resolving a shard of either kind imports only what it runs.
-_WORKLOAD_MODULES = {
-    "spark": "repro.apps.spark.fleet",
-    "tenants": "repro.service.fleet",
-}
-
-
-def register_fleet_workload(workload: FleetWorkload) -> None:
-    """Make a workload resolvable by name (idempotent re-registration
-    with the same module's object is fine — import order varies)."""
-    _WORKLOADS[workload.name] = workload
-
-
-def get_fleet_workload(name: str) -> FleetWorkload:
-    """Resolve a workload name, importing its home module on demand."""
-    if name not in _WORKLOADS:
-        module = _WORKLOAD_MODULES.get(name)
-        if module is not None:
-            importlib.import_module(module)
-    try:
-        return _WORKLOADS[name]
-    except KeyError:
-        known = sorted(set(_WORKLOADS) | set(_WORKLOAD_MODULES))
-        raise ShardPlanError(f"unknown fleet workload {name!r}; "
-                             f"known: {known}") from None
-
-
-def workload_name(config) -> str:
-    """The workload a fleet config belongs to (``fleet_workload``
-    attribute, default ``"microbench"``)."""
-    return getattr(config, "fleet_workload", "microbench")
+def _workload(config) -> FleetWorkload:
+    """The workload of a fleet config: its class's ``fleet_workload``,
+    or the microbench workload.  A shard worker reaches it by
+    unpickling the config, which imports the config's module."""
+    return getattr(config, "fleet_workload", MICROBENCH_WORKLOAD)
 
 
 @dataclass(frozen=True)
@@ -156,23 +111,38 @@ class GroupSpec:
     the workload.  Picklable — this is what ships to a shard worker."""
 
     index: int        # canonical merge position (0-based, contiguous)
-    client_lid: int   # fleet-global LIDs (group-local sims use 1 and 2)
-    server_lid: int
     num_qps: int
     num_ops: int
     wr_base: int      # global wr_id of this group's op 0
     seed: int         # the group simulator's private RNG seed
 
     @property
-    def lids(self) -> FrozenSet[int]:
-        """The serialising fabric resources this group's traffic can
-        occupy (see the module docstring's partition argument)."""
-        return frozenset((self.client_lid, self.server_lid))
+    def client_lid(self) -> int:
+        """Fleet-global client LID (group-local sims use 1 and 2)."""
+        return 2 * self.index + 1
+
+    @property
+    def server_lid(self) -> int:
+        return 2 * self.index + 2
+
+
+def group_specs(seed: int, sizes: Iterable[Tuple[int, int]]
+                ) -> List[GroupSpec]:
+    """One :class:`GroupSpec` per ``(num_qps, num_ops)`` in ``sizes``,
+    with contiguous wr_id ranges and per-group seeds."""
+    specs = []
+    wr_base = 0
+    for index, (num_qps, num_ops) in enumerate(sizes):
+        specs.append(GroupSpec(index=index, num_qps=num_qps,
+                               num_ops=num_ops, wr_base=wr_base,
+                               seed=group_seed(seed, index)))
+        wr_base += num_ops
+    return specs
 
 
 class ShardPlanError(ValueError):
     """A fleet spec that cannot be planned (bad divisibility, bad
-    shard count, duplicate LIDs)."""
+    group indices)."""
 
 
 @dataclass(frozen=True)
@@ -180,14 +150,11 @@ class ShardPlan:
     """The planner's verdict: which groups run in which worker.
 
     ``shards`` is a tuple of group-index tuples, one per worker, every
-    group exactly once.  ``components`` are the arbitration-independence
-    classes the proof found (a shard never splits a component).
-    ``reason`` is empty when the requested width was granted, otherwise
-    one line saying why the plan is narrower.
+    group exactly once.  ``reason`` is empty when the requested width
+    was granted, otherwise one line saying why the plan is narrower.
     """
 
     shards: Tuple[Tuple[int, ...], ...]
-    components: Tuple[Tuple[int, ...], ...]
     requested: int
     reason: str = ""
 
@@ -197,28 +164,21 @@ class ShardPlan:
         return len(self.shards) > 1
 
     def describe(self) -> str:
+        groups = sum(len(shard) for shard in self.shards)
         note = f" ({self.reason})" if self.reason else ""
         return (f"{len(self.shards)}/{self.requested} shard(s) over "
-                f"{len(self.components)} independent component(s){note}")
+                f"{groups} group(s){note}")
 
 
 def plan_shards(groups: Sequence[GroupSpec], shards: int,
                 hazards: Sequence[str] = ()) -> ShardPlan:
-    """Partition ``groups`` into at most ``shards`` independent shards.
+    """Pack ``groups`` onto at most ``shards`` workers.
 
-    The independence proof: union any two groups whose LID sets
-    intersect (they share a link transmitter and hence an arbitration
-    dependency — see the module docstring for why disjoint LID sets
-    share nothing).  The resulting components are atomic; a component
-    is never split across workers, so a topology where every group
-    contends on one switch port *refuses* to shard (one in-process
-    shard, reason recorded) rather than silently mis-merging.
-
-    Packing is deterministic: components in canonical order (heaviest
-    QP count first, ties by smallest member index) go to the currently
-    lightest shard (ties by lowest shard number).  Hazard strings —
-    process-wide observers workers cannot inherit — force the
-    single-shard fallback outright.
+    Packing is deterministic: groups in canonical order (heaviest QP
+    count first, ties by smallest index) go to the currently lightest
+    shard (ties by lowest shard number).  Hazard strings — process-wide
+    observers workers cannot inherit — force the single-shard fallback
+    outright.
     """
     if not groups:
         raise ShardPlanError("empty fleet: no QP groups to plan")
@@ -226,68 +186,26 @@ def plan_shards(groups: Sequence[GroupSpec], shards: int,
     if indices != list(range(len(groups))):
         raise ShardPlanError(f"group indices must be 0..{len(groups) - 1} "
                              f"exactly once, got {indices}")
-    seen_lids: Dict[int, int] = {}
-    for spec in groups:
-        if spec.client_lid == spec.server_lid:
-            raise ShardPlanError(f"group {spec.index}: client and server "
-                                 f"share LID {spec.client_lid}")
     requested = max(1, int(shards))
-
-    # Union-find over groups, joined through shared LIDs.
-    parent = list(range(len(groups)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    by_index = {spec.index: spec for spec in groups}
-    for spec in groups:
-        for lid in spec.lids:
-            if lid in seen_lids:
-                union(seen_lids[lid], spec.index)
-            else:
-                seen_lids[lid] = spec.index
-    members: Dict[int, List[int]] = {}
-    for index in range(len(groups)):
-        members.setdefault(find(index), []).append(index)
-    components = tuple(tuple(sorted(group_ids))
-                       for _root, group_ids in sorted(members.items()))
-
     if hazards:
-        return ShardPlan(shards=(tuple(range(len(groups))),),
-                         components=components, requested=requested,
+        return ShardPlan(shards=(tuple(indices),), requested=requested,
                          reason="; ".join(hazards))
-    if len(components) == 1 and len(groups) > 1:
-        return ShardPlan(shards=components, components=components,
-                         requested=requested,
-                         reason="all groups share one arbitration "
-                                "component (shared switch port)")
-    width = min(requested, len(components))
+    width = min(requested, len(groups))
     reason = ""
     if width < requested:
-        reason = (f"only {len(components)} independent component(s) "
-                  f"for {requested} requested shard(s)")
+        reason = (f"only {len(groups)} group(s) for {requested} "
+                  f"requested shard(s)")
     # Heaviest-first greedy into the lightest bin: deterministic and
     # balanced.  Weight is QP count (simulation cost scales with it).
-    order = sorted(components,
-                   key=lambda comp: (-sum(by_index[i].num_qps
-                                          for i in comp), comp[0]))
+    order = sorted(groups, key=lambda spec: (-spec.num_qps, spec.index))
     bins: List[List[int]] = [[] for _ in range(width)]
     weights = [0] * width
-    for comp in order:
+    for spec in order:
         target = min(range(width), key=lambda b: (weights[b], b))
-        bins[target].extend(comp)
-        weights[target] += sum(by_index[i].num_qps for i in comp)
+        bins[target].append(spec.index)
+        weights[target] += spec.num_qps
     packed = tuple(tuple(sorted(bin_)) for bin_ in bins if bin_)
-    return ShardPlan(shards=packed, components=components,
-                     requested=requested, reason=reason)
+    return ShardPlan(shards=packed, requested=requested, reason=reason)
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +218,7 @@ def fleet_groups(config) -> List[GroupSpec]:
 
     The fleet's QPs and ops distribute evenly — ``num_groups`` must
     divide both, so every group is the same shape and the merge needs
-    no remainder bookkeeping.  Group ``g`` owns fleet-global LIDs
-    ``2g+1`` (client) and ``2g+2`` (server): disjoint by construction,
-    which is what the planner then *proves* rather than assumes.
+    no remainder bookkeeping.
     """
     num_groups = int(config.num_groups)
     if num_groups < 1:
@@ -313,12 +229,8 @@ def fleet_groups(config) -> List[GroupSpec]:
     if config.num_ops % num_groups:
         raise ShardPlanError(f"num_groups={num_groups} does not divide "
                              f"num_ops={config.num_ops}")
-    qps = config.num_qps // num_groups
-    ops = config.num_ops // num_groups
-    return [GroupSpec(index=g, client_lid=2 * g + 1, server_lid=2 * g + 2,
-                      num_qps=qps, num_ops=ops, wr_base=g * ops,
-                      seed=group_seed(config.seed, g))
-            for g in range(num_groups)]
+    size = (config.num_qps // num_groups, config.num_ops // num_groups)
+    return group_specs(config.seed, [size] * num_groups)
 
 
 def fleet_hazards(config) -> List[str]:
@@ -459,17 +371,17 @@ def run_shard(args: Tuple) -> List[GroupResult]:
     """Worker entry: rebuild and run every group of one shard.
 
     Module-level and fed picklable tuples, as :func:`runner.sweep`
-    requires.  ``args`` is ``(specs, base_config, collect, workload)``,
-    as built by :func:`shard_args`.  The workload name
-    resolves through the registry *inside* the worker, so application
-    modules (spark) import only where their groups actually run.
+    requires.  ``args`` is ``(specs, base_config, collect)``, as built
+    by :func:`shard_args`.  Unpickling ``base_config`` imports its
+    module, and with it the config's workload, so application modules
+    (spark) import only where their groups actually run.
     Groups run sequentially in spec order; each builds its own cluster
     (which restarts packet serial numbering), so a group's bytes are
     identical whether its neighbour ran in this process, in another
     worker, or not at all.
     """
-    specs, base_config, collect, name = args
-    workload = get_fleet_workload(name)
+    specs, base_config, collect = args
+    workload = _workload(base_config)
     return [workload.run_group(spec, base_config, frozenset(collect))
             for spec in specs]
 
@@ -492,17 +404,11 @@ def merge_results(config, group_results: Sequence[GroupResult]):
     from repro.bench.microbench import MicrobenchResult
 
     ordered = _ordered(group_results)
-    keyed = []
-    for group in ordered:
-        for position, completion in enumerate(group.result.completions):
-            keyed.append(((completion[1], group.index, position),
-                          completion))
-    keyed.sort(key=lambda pair: pair[0])
     results = [group.result for group in ordered]
     return MicrobenchResult(
         config=config,
         execution_time_ns=max(r.execution_time_ns for r in results),
-        completions=[completion for _key, completion in keyed],
+        completions=merge_completions(ordered),
         total_packets=sum(r.total_packets for r in results),
         timeouts=sum(r.timeouts for r in results),
         rnr_naks=sum(r.rnr_naks for r in results),
@@ -533,6 +439,18 @@ def _merge_fallbacks(results) -> dict:
     return merged
 
 
+def merge_completions(ordered: Sequence[GroupResult]) -> List:
+    """K-way merge of per-group ``(wr_id, time, status)`` completions by
+    ``(completion time, group, arrival order)``."""
+    keyed = []
+    for group in ordered:
+        for position, completion in enumerate(group.result.completions):
+            keyed.append(((completion[1], group.index, position),
+                          completion))
+    keyed.sort(key=lambda pair: pair[0])
+    return [completion for _key, completion in keyed]
+
+
 def _ordered(group_results: Sequence[GroupResult]) -> List[GroupResult]:
     ordered = sorted(group_results, key=lambda group: group.index)
     indices = [group.index for group in ordered]
@@ -559,11 +477,10 @@ def merge_capture_records(group_results: Sequence[GroupResult]) -> List:
     return [rec for _key, rec in keyed]
 
 
-#: The built-in workload: MicrobenchConfig fleets.
-register_fleet_workload(FleetWorkload(name="microbench",
-                                      groups=fleet_groups,
-                                      run_group=_run_group,
-                                      merge=merge_results))
+#: The workload of configs without a ``fleet_workload``: microbench fleets.
+MICROBENCH_WORKLOAD = FleetWorkload(groups=fleet_groups,
+                                    run_group=_run_group,
+                                    merge=merge_results)
 
 
 def fleet_fingerprint(fingerprints: Sequence[Optional[str]]) -> str:
@@ -611,7 +528,7 @@ def plan_fleet(config, shards: Optional[int] = None
     """Resolve a fleet config to (workload, groups, plan) without
     running anything — :func:`run_fleet` and the perfbench shard
     accounting plan this way before dispatching shards."""
-    workload = get_fleet_workload(workload_name(config))
+    workload = _workload(config)
     groups = workload.groups(config)
     requested = int(config.shards if shards is None else shards)
     if requested == 0:
@@ -632,7 +549,7 @@ def merge_fleet(config, group_results: Sequence[GroupResult],
     """
     collect_set = _check_collect(collect)
     if workload is None:
-        workload = get_fleet_workload(workload_name(config))
+        workload = _workload(config)
     merged = workload.merge(config, group_results)
     counters = None
     if COLLECT_COUNTERS in collect_set:
@@ -666,9 +583,8 @@ def shard_args(groups: Sequence[GroupSpec], plan: ShardPlan, config,
     """
     collect_set = _check_collect(collect)
     base = dataclasses.replace(config, telemetry=None)
-    name = workload_name(config)
     return [(tuple(groups[i] for i in shard), base,
-             tuple(sorted(collect_set)), name)
+             tuple(sorted(collect_set)))
             for shard in plan.shards]
 
 

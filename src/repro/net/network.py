@@ -101,40 +101,6 @@ class Network:
         """All attached LIDs."""
         return sorted(self._links)
 
-    def serializers(self, lid: int) -> Tuple[Any, ...]:
-        """The serialising resources traffic to/from ``lid`` occupies.
-
-        In this fabric exactly two resources queue packets for a LID:
-        the two directions of its own link (host->switch and
-        switch->host).  The switch itself is deliberately absent — it
-        is a contention-free crossbar whose ``forward_ns`` is a fixed
-        per-packet latency with no shared queue (the uplink's
-        ``hop_ns`` in front of :meth:`repro.net.switch.Switch._forward`),
-        so it never serialises two flows against each other.
-
-        This is the fabric-level contract behind the shard planner's
-        partition proof (:func:`repro.experiments.shard.plan_shards`):
-        two sets of QP pairs can only interact through a shared
-        serialising resource, and by this method that happens iff their
-        LID sets intersect.
-        """
-        link = self._links[lid]
-        return (link.a_to_b, link.b_to_a)
-
-    def independent(self, lids_a: Iterable[int],
-                    lids_b: Iterable[int]) -> bool:
-        """True when the two LID sets share no serialising resource.
-
-        The runtime form of the shard planner's independence
-        requirement: traffic among ``lids_a`` cannot perturb the timing
-        of traffic among ``lids_b`` (and vice versa) when this holds,
-        because every arbitration point either side can occupy
-        (:meth:`serializers`) belongs to exactly one LID.
-        """
-        held_a = {id(res) for lid in lids_a for res in self.serializers(lid)}
-        held_b = {id(res) for lid in lids_b for res in self.serializers(lid)}
-        return not (held_a & held_b)
-
     # ------------------------------------------------------------------
     # Observation and fault injection
     # ------------------------------------------------------------------

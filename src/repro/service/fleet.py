@@ -4,10 +4,10 @@ One service cell is one shared RNIC pair — interference is an
 *intra-cell* effect (the link directions and the page-status engine of
 one RNIC are the contended resources).  Scaling the tenant count
 therefore means scaling the number of *cells*, and cells at distinct
-LID pairs provably never interact — exactly the partition contract of
-:mod:`repro.experiments.shard`.  This module defines the ``"tenants"``
-fleet workload: the registry's tenants chunk contiguously into cells of
-``cell_size``, cell ``g`` owns fleet LIDs ``2g+1``/``2g+2`` and its own
+LID pairs never interact.  This module defines the tenants fleet
+workload: the registry's tenants chunk contiguously into cells of
+``cell_size``, cell ``g`` owns fleet LIDs ``2g+1``/``2g+2`` (derived
+by :class:`~repro.experiments.shard.GroupSpec`) and its own
 :class:`~repro.service.tier.ServiceCell` seeded from
 :func:`~repro.experiments.shard.group_seed`, and the merge unions the
 per-cell tenant results (names are fleet-unique), relabels episode and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.experiments.shard import (
     COLLECT_CAPTURE,
@@ -33,8 +33,7 @@ from repro.experiments.shard import (
     _ordered,
     _relabel_scope,
     fleet_fingerprint,
-    group_seed,
-    register_fleet_workload,
+    group_specs,
 )
 from repro.service.tenant import TenantSpec
 from repro.service.tier import CellResult, ServiceCellConfig, run_cell
@@ -62,9 +61,9 @@ class TenantFleetConfig:
     post_overhead_ns: int = 300
     telemetry: Any = field(default=None, compare=False, repr=False)
 
-    # registry key for repro.experiments.shard (class attribute, not a
-    # dataclass field: replace()/pickle round-trips leave it alone)
-    fleet_workload = "tenants"
+    # set below; a class attribute, not a dataclass field, so
+    # replace()/pickle round-trips leave it alone
+    fleet_workload: ClassVar[FleetWorkload]
 
     def resolved_cell_size(self) -> int:
         if self.cell_size:
@@ -96,17 +95,11 @@ def tenant_groups(config: TenantFleetConfig) -> List[GroupSpec]:
     if len(set(names)) != len(names):
         raise ShardPlanError("tenant names must be fleet-unique for the "
                              "merge to union per-tenant results")
-    specs = []
-    wr_base = 0
-    for g in range(num_groups):
-        chunk = config.cell_tenants(g)
-        ops = sum(spec.num_ops for spec in chunk)
-        specs.append(GroupSpec(
-            index=g, client_lid=2 * g + 1, server_lid=2 * g + 2,
-            num_qps=sum(spec.num_qps for spec in chunk), num_ops=ops,
-            wr_base=wr_base, seed=group_seed(config.seed, g)))
-        wr_base += ops
-    return specs
+    chunks = [config.cell_tenants(g) for g in range(num_groups)]
+    return group_specs(config.seed,
+                       [(sum(spec.num_qps for spec in chunk),
+                         sum(spec.num_ops for spec in chunk))
+                        for chunk in chunks])
 
 
 def _relabel_cell(cell: CellResult, lid_map: Dict[int, int]) -> CellResult:
@@ -196,7 +189,6 @@ def merge_tenants(config: TenantFleetConfig,
     )
 
 
-register_fleet_workload(FleetWorkload(name="tenants",
-                                      groups=tenant_groups,
-                                      run_group=_run_tenant_group,
-                                      merge=merge_tenants))
+TenantFleetConfig.fleet_workload = FleetWorkload(groups=tenant_groups,
+                                                 run_group=_run_tenant_group,
+                                                 merge=merge_tenants)

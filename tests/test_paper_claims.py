@@ -378,6 +378,7 @@ def test_fig06_timeout_probability():
     assert client.points[0.5] >= 0.4
     assert client.points[2.0] <= 0.25
     assert client.points[3.0] == 0.0
+    assert client.points[4.5] == 0.0
     assert client.points[6.0] == 0.0
 
 

@@ -1,10 +1,11 @@
 """Parallel sweeps must be invisible: same rows, bit for bit, at any
-process count — determinism survives the pool because every point owns
-its ``Simulator(seed)``.
+process count, pool width, weights or mix of plain and grouped fleet
+points — determinism survives the pool because every point owns its
+``Simulator(seed)``.  Only wall-clock may move.
 """
 
+import dataclasses
 import os
-import warnings
 
 import pytest
 
@@ -23,6 +24,30 @@ def _square(point):
 
 def _tagged(point):
     return (os.getpid(), point)
+
+
+def _fleet_config(**overrides):
+    """A small grouped flood fleet (fig09-shaped)."""
+    base = dict(size=400, num_ops=128, num_qps=32, interval_us=0.0,
+                odp=OdpSetup.CLIENT, integrity=False, seed=50,
+                max_rd_atomic=1, coalesce=True, num_groups=2)
+    base.update(overrides)
+    return MicrobenchConfig(**base)
+
+
+def _metrics(result):
+    d = dataclasses.asdict(result)
+    d.pop("config")
+    d.pop("coalesced_rounds")
+    d.pop("events_coalesced")
+    return d
+
+
+def _mixed_point(point):
+    """A plain point squares an int; a config point runs its fleet."""
+    if isinstance(point, int):
+        return point * point
+    return _metrics(run_fleet(point).result)
 
 
 class TestSweepRunner:
@@ -45,8 +70,15 @@ class TestSweepRunner:
     def test_repro_jobs_env_sets_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
         assert default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert default_jobs() >= 1
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert default_jobs() == 1
+
+    def test_malformed_repro_jobs_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS='abc'"):
+            default_jobs()
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            sweep(_square, list(range(4)))
 
     def test_nested_sweep_marker_forces_serial(self, monkeypatch):
         monkeypatch.setenv(runner._IN_WORKER_ENV, "1")
@@ -108,35 +140,20 @@ class TestSweepSession:
             assert session.pool._max_workers == 2
         assert [p for _pid, p in tags] == list(range(12))
 
-    def test_unpinned_session_grows_the_pool(self):
-        with sweep_session() as session:
-            sweep(_square, list(range(4)), processes=2)
-            assert session.workers == 2
-            assert session.grown == 0
-            small_pool = session.pool
-            # A later, wider sweep must not silently run 2-wide.
-            sweep(_square, list(range(12)), processes=6)
-            assert session.workers == 6
-            assert session.grown == 1
-            assert session.pool is not small_pool
-            assert session.pool._max_workers == 6
-            # Narrower sweeps reuse the wide pool without shrinking.
-            sweep(_square, list(range(4)), processes=2)
-            assert session.grown == 1
-
-    def test_pinned_session_warns_once_and_keeps_width(self):
+    def test_pinned_session_runs_oversized_sweep_at_its_width(self):
+        points = list(range(12))
         with sweep_session(processes=2) as session:
             sweep(_square, list(range(4)), processes=2)
-            with pytest.warns(RuntimeWarning,
-                              match=r"pinned to 2 workers; running with 2"):
-                got = sweep(_square, list(range(12)), processes=6)
-            assert got == [p * p for p in range(12)]
-            assert session.workers == 2
-            assert session.grown == 0
-            # One-shot: the next oversized sweep stays silent.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                sweep(_square, list(range(12)), processes=6)
+            pool = session.pool
+            got = sweep(_square, points, processes=6)
+            tags = sweep(_tagged, points, processes=6)
+            # The pool is never replaced by a wider one.
+            assert session.pool is pool
+            assert pool._max_workers == 2
+        assert got == sweep(_square, points, processes=1) \
+            == [p * p for p in points]
+        assert [p for _pid, p in tags] == points
+        assert len({pid for pid, _p in tags}) <= 2
 
     def test_figure_sweep_identical_inside_session(self):
         kwargs = dict(cacks=[1, 18], systems=["Reedbush-H"])
@@ -147,6 +164,34 @@ class TestSweepSession:
         assert [c.points for c in bare.curves] == \
             [c.points for c in pooled.curves] == \
             [c.points for c in again.curves]
+
+
+class TestFigureWiring:
+    """The figure entry points run on the weighted sweep; their outputs
+    must not depend on placement."""
+
+    def test_fig09_grouped_invariant_across_placement(self):
+        # A grouped fig09 point is *defined* over per-group RNG streams
+        # (a different, equally valid fleet definition — not the
+        # monolithic classic run), so what must hold is placement
+        # invariance: serial, pooled, and sharded all render the same.
+        # The 1-QP cell cannot split, so plain and fleet points mix.
+        kwargs = dict(qps_values=[1, 4, 8], modes=[OdpSetup.CLIENT],
+                      scale=128, seed=3, num_groups=2)
+        serial = run_figure9(processes=1, **kwargs)
+        assert list(serial.curves) == [OdpSetup.CLIENT]
+        pooled = run_figure9(processes=4, **kwargs)
+        pooled_sharded = run_figure9(processes=4, shards=2, **kwargs)
+        serial_sharded = run_figure9(processes=1, shards=2, **kwargs)
+        assert serial.render() == pooled.render() \
+            == pooled_sharded.render() == serial_sharded.render()
+
+    def test_fig09_effective_groups_divisor_fallback(self):
+        from repro.experiments.fig09_flood import effective_groups
+        assert effective_groups(4, 64, 256) == 4
+        assert effective_groups(4, 6, 256) == 2   # largest common divisor
+        assert effective_groups(3, 5, 7) == 1     # nothing divides: classic
+        assert effective_groups(1, 64, 256) == 1
 
 
 class TestParallelEqualsSerial:
@@ -204,6 +249,18 @@ class TestWeights:
         assert sweep(_square, points, processes=1, weights=weights) \
             == sweep(_square, points, processes=3, weights=weights) \
             == sweep(_square, points, processes=3) == expected
+
+    def test_mixed_points_and_fleet_bit_identical(self):
+        cfg = _fleet_config()
+        points = [3, cfg, 7]
+        weights = [1.0, 8.0, 1.0]
+        serial = sweep(_mixed_point, points, processes=1, weights=weights)
+        pooled = sweep(_mixed_point, points, processes=3, weights=weights)
+        assert serial[0] == pooled[0] == 9
+        assert serial[2] == pooled[2] == 49
+        assert serial[1] == pooled[1]
+        # And both equal the fleet run outside any sweep.
+        assert pooled[1] == _metrics(run_microbench(cfg))
 
     def test_weighted_sweep_inside_session(self):
         points = list(range(9))

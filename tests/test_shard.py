@@ -1,5 +1,5 @@
-"""Shard-parallel fleet execution must be invisible: the planner only
-splits provably independent QP groups, and the deterministic merge
+"""Shard-parallel fleet execution must be invisible: QP groups own
+disjoint LID pairs by construction, and the deterministic merge
 returns bit-identical results — metrics, counters, telemetry
 fingerprints, capture rows — for every shard count and every
 ``REPRO_JOBS`` value.
@@ -18,9 +18,8 @@ from repro.experiments.shard import (GroupSpec, ShardPlanError,
 from repro.telemetry.counters import merge_counter_items
 
 
-def _group(index, client_lid, server_lid, num_qps=16):
-    return GroupSpec(index=index, client_lid=client_lid,
-                     server_lid=server_lid, num_qps=num_qps, num_ops=64,
+def _group(index, num_qps=16):
+    return GroupSpec(index=index, num_qps=num_qps, num_ops=64,
                      wr_base=64 * index, seed=group_seed(0, index))
 
 
@@ -53,49 +52,23 @@ def _metrics(result):
 
 class TestPlanner:
     def test_disjoint_groups_get_requested_width(self):
-        groups = [_group(i, 2 * i + 1, 2 * i + 2) for i in range(8)]
+        groups = [_group(i) for i in range(8)]
         plan = plan_shards(groups, 4)
         assert len(plan.shards) == 4
         assert plan.pooled
         assert plan.reason == ""
-        assert len(plan.components) == 8
         # Every group exactly once.
         flat = sorted(i for s in plan.shards for i in s)
         assert flat == list(range(8))
 
-    def test_shared_switch_port_topology_is_refused(self):
-        # Every client talks to ONE server LID: classic shared-port
-        # contention.  All groups collapse into one arbitration
-        # component, so the plan must fall back to a single shard with
-        # the reason recorded — never a silent mis-merge.
-        groups = [_group(i, i + 2, 1) for i in range(4)]
-        plan = plan_shards(groups, 4)
-        assert len(plan.shards) == 1
-        assert not plan.pooled
-        assert plan.shards[0] == (0, 1, 2, 3)
-        assert "shared switch port" in plan.reason
-
-    def test_partial_sharing_shards_by_component(self):
-        # Groups 0 and 1 share LID 9; groups 2 and 3 are independent.
-        groups = [_group(0, 1, 9), _group(1, 2, 9),
-                  _group(2, 5, 6), _group(3, 7, 8)]
-        plan = plan_shards(groups, 4)
-        assert len(plan.components) == 3
-        assert (0, 1) in plan.components
-        assert len(plan.shards) == 3
-        assert "3 independent component(s)" in plan.reason
-        # The shared pair never splits across shards.
-        owners = {i: n for n, s in enumerate(plan.shards) for i in s}
-        assert owners[0] == owners[1]
-
     def test_hazards_force_single_shard(self):
-        groups = [_group(i, 2 * i + 1, 2 * i + 2) for i in range(4)]
+        groups = [_group(i) for i in range(4)]
         plan = plan_shards(groups, 4, hazards=["observer armed"])
         assert len(plan.shards) == 1
         assert plan.reason == "observer armed"
 
     def test_packing_is_deterministic_and_balanced(self):
-        groups = [_group(i, 2 * i + 1, 2 * i + 2) for i in range(6)]
+        groups = [_group(i) for i in range(6)]
         plan_a = plan_shards(groups, 2)
         plan_b = plan_shards(list(reversed(groups)), 2)
         assert plan_a.shards == plan_b.shards
@@ -106,33 +79,7 @@ class TestPlanner:
         with pytest.raises(ShardPlanError):
             plan_shards([], 2)
         with pytest.raises(ShardPlanError):
-            plan_shards([_group(0, 1, 2), _group(2, 3, 4)], 2)
-        with pytest.raises(ShardPlanError):
-            plan_shards([_group(0, 5, 5)], 1)
-
-    def test_fabric_serialization_contract(self):
-        # The planner's partition proof rests on the Network's own
-        # contract: a LID's only arbitration points are its two link
-        # directions, and the crossbar switch adds none.  Assert it
-        # against a live topology, not just the docstring.
-        from repro.net.network import Network
-        from repro.sim.engine import Simulator
-
-        net = Network(Simulator(seed=0))
-        for lid in (1, 2, 3, 4):
-            net.attach(lid, lambda pkt: None)
-        for lid in (1, 2, 3, 4):
-            held = net.serializers(lid)
-            assert len(held) == 2
-            # Exclusively owned: no other LID's set shares a resource.
-            for other in (1, 2, 3, 4):
-                if other != lid:
-                    assert not ({id(r) for r in held}
-                                & {id(r) for r in net.serializers(other)})
-        # Group (1,2) vs (3,4): disjoint LIDs => independent; any
-        # shared LID => dependent.  Exactly plan_shards' edge rule.
-        assert net.independent((1, 2), (3, 4))
-        assert not net.independent((1, 2), (2, 3))
+            plan_shards([_group(0), _group(2)], 2)
 
     def test_fleet_groups_divisibility(self):
         groups = fleet_groups(_flood_config(num_qps=64, num_ops=256,
@@ -140,7 +87,7 @@ class TestPlanner:
         assert len(groups) == 4
         assert all(g.num_qps == 16 and g.num_ops == 64 for g in groups)
         assert groups[2].wr_base == 128
-        assert groups[2].lids == frozenset((5, 6))
+        assert (groups[2].client_lid, groups[2].server_lid) == (5, 6)
         assert groups[2].seed == group_seed(50, 2)
         with pytest.raises(ShardPlanError):
             fleet_groups(_flood_config(num_qps=64, num_groups=3))

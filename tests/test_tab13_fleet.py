@@ -11,7 +11,8 @@ import pytest
 
 from repro.apps.spark.fleet import (SparkFleetConfig, fleet_fit,
                                     group_cold_pages, spark_groups)
-from repro.experiments.shard import ShardPlanError, group_seed, run_fleet
+from repro.experiments.shard import (ShardPlanError, group_seed,
+                                     plan_fleet, run_fleet)
 
 
 def _config(**overrides):
@@ -27,7 +28,7 @@ class TestSparkGroups:
         groups = spark_groups(_config())
         assert len(groups) == 4
         assert all(g.num_qps == 32 for g in groups)
-        assert groups[2].lids == frozenset((5, 6))
+        assert (groups[2].client_lid, groups[2].server_lid) == (5, 6)
         assert groups[2].seed == group_seed(0, 2)
         # wr spans are contiguous: group g owns [g*ops, (g+1)*ops).
         ops = groups[0].num_ops
@@ -51,6 +52,15 @@ class TestSparkGroups:
         assert sum(slices) == total
         assert slices == sorted(slices, reverse=True)
         assert max(slices) - min(slices) <= 1
+
+    def test_perfbench_shape_plans_alternate_groups(self):
+        # The spark-fleet perfbench cell: 1280 QPs in 4 equal groups on
+        # 2 shards packs heaviest-first into the lightest shard.
+        config = SparkFleetConfig(qps=1280, num_groups=4, shards=2)
+        _workload, groups, plan = plan_fleet(config)
+        assert len(groups) == 4
+        assert plan.shards == ((0, 2), (1, 3))
+        assert plan.reason == ""
 
     def test_scale_divides_the_budget(self):
         _cell, scaled, _f = fleet_fit(_config(scale=16))
@@ -133,12 +143,13 @@ class TestEntryPoints:
             == dataclasses.asdict(direct.result)
 
     def test_config_replace_keeps_workload_binding(self):
-        # The registry key is a class attribute: replace()/pickle must
-        # not detach it (workers resolve the workload by this name).
+        # The workload is a class attribute: replace()/pickle must not
+        # detach it (workers reach the workload through the config).
         config = dataclasses.replace(_config(), shards=2)
-        assert config.fleet_workload == "spark"
+        assert config.fleet_workload.groups is spark_groups
         import pickle
-        assert pickle.loads(pickle.dumps(config)).fleet_workload == "spark"
+        assert pickle.loads(pickle.dumps(config)).fleet_workload \
+            is SparkFleetConfig.fleet_workload
 
 
 class TestLazyPayloads:
