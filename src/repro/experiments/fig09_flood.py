@@ -174,8 +174,11 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     split: the cell becomes a QP-group fleet (largest group count <=
     ``num_groups`` that divides its QPs and ops).  A serial sweep runs
     it across ``shards`` worker processes; a pooled sweep runs its
-    groups in the cell's own worker.  Fleet cells are defined over
-    per-group RNG streams, so their numbers form their own family:
+    groups in the cell's own worker.  A fleet cell is a different
+    machine, not a different seed: each group is its own client/server
+    RNIC pair, so splitting the cell also splits the page-status-engine
+    contention that produces the flood (``num_groups=2`` cuts the
+    client-ODP flood about 5x at 50 and 128 QPs).  Fleet numbers are
     bit-identical for any shard count or pool width (tested), but not
     comparable to the ``num_groups=1`` monolithic cells.  The default
     keeps the classic definition.

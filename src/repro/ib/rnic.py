@@ -135,7 +135,9 @@ class Rnic:
     def load_stretch(self) -> float:
         """Multiplier on the effective transport timeout under QP load
         (Section VI-C: timeouts lengthen with many QPs)."""
-        extra = max(0, self.active_qps - 1)
+        extra = len(self._active_qps) - 1
+        if extra <= 0:
+            return 1.0
         return 1.0 + self.profile.timeout_stretch_per_qp * extra
 
     # ------------------------------------------------------------------
@@ -149,16 +151,18 @@ class Rnic:
     def tx_enqueue(self, packet: Packet) -> None:
         """Queue a packet for transmission (round-robin across QPs,
         serial per-packet processing cost)."""
-        queue = self._tx_queues.get(packet.src_qpn)
+        qpn = packet.src_qpn
+        queue = self._tx_queues.get(qpn)
         if queue is None:
             queue = deque()
-            self._tx_queues[packet.src_qpn] = queue
+            self._tx_queues[qpn] = queue
         if not queue:
-            self._tx_ring.append(packet.src_qpn)
+            self._tx_ring.append(qpn)
         queue.append(packet)
-        self.stats["tx_packets"] += 1
+        stats = self.stats
+        stats["tx_packets"] += 1
         if packet.retransmission:
-            self.stats["tx_retransmissions"] += 1
+            stats["tx_retransmissions"] += 1
         if not self._tx_busy:
             self._tx_busy = True
             sim = self.sim
@@ -169,16 +173,17 @@ class Rnic:
                       self._tx_drain, ()))
 
     def _tx_drain(self) -> None:
-        if not self._tx_ring:
+        ring = self._tx_ring
+        if not ring:
             self._tx_busy = False
             return
-        qpn = self._tx_ring.popleft()
+        qpn = ring.popleft()
         queue = self._tx_queues[qpn]
         packet = queue.popleft()
         if queue:
-            self._tx_ring.append(qpn)
+            ring.append(qpn)
         self.network.inject(self.lid, packet)
-        if self._tx_ring:
+        if ring:
             sim = self.sim
             sim._seq = seq = sim._seq + 1  # noqa: SLF001
             sim._pending += 1  # noqa: SLF001

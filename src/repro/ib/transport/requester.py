@@ -23,13 +23,25 @@ import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.ib.opcodes import Opcode, Syndrome
-from repro.ib.packets import Aeth, Packet, PayloadRef, Reth
-from repro.ib.transport.psn import psn_add, psn_diff
+from repro.ib.packets import Packet, PayloadRef, Reth
+from repro.ib.transport.psn import PSN_MASK, psn_add, psn_diff
 from repro.ib.verbs.enums import OdpMode, QpState, WcOpcode, WcStatus
 from repro.ib.verbs.wr import WorkCompletion, WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ib.verbs.qp import QueuePair
+
+#: Request opcodes of a WRITE / SEND message: (only, first, middle, last).
+_WRITE_SEGMENTS = (Opcode.RDMA_WRITE_ONLY, Opcode.RDMA_WRITE_FIRST,
+                   Opcode.RDMA_WRITE_MIDDLE, Opcode.RDMA_WRITE_LAST)
+_SEND_SEGMENTS = (Opcode.SEND_ONLY, Opcode.SEND_FIRST,
+                  Opcode.SEND_MIDDLE, Opcode.SEND_LAST)
+
+# Hot-path enum members as module constants: on CPython 3.11 a
+# ``Enum.MEMBER`` attribute load costs ~100 ns, a global ~10 ns.
+_READ_REQUEST = Opcode.RDMA_READ_REQUEST
+_ATOMIC_ACKNOWLEDGE = Opcode.ATOMIC_ACKNOWLEDGE
+_WC_RDMA_WRITE = WcOpcode.RDMA_WRITE
 
 #: Requester states.
 STATE_NORMAL = "normal"
@@ -38,11 +50,15 @@ STATE_ODP_WAIT = "odp_wait"
 
 
 class Wqe:
-    """A send-queue element: one work request plus transport bookkeeping."""
+    """A send-queue element: one work request plus transport bookkeeping.
+
+    ``is_read``/``is_atomic`` are plain attributes fixed at posting: the
+    opcode of a work request never changes, and every emit reads them.
+    """
 
     __slots__ = ("wr", "first_psn", "req_packets", "psn_span", "resp_needed",
                  "resp_received", "completed", "posted_at", "transmitted",
-                 "fault_wait_registered")
+                 "fault_wait_registered", "is_read", "is_atomic")
 
     def __init__(self, wr: WorkRequest, first_psn: int, req_packets: int,
                  psn_span: int, resp_needed: int, posted_at: int):
@@ -56,21 +72,17 @@ class Wqe:
         self.posted_at = posted_at
         self.transmitted = False
         self.fault_wait_registered = False
+        opcode = wr.opcode
+        #: True for RDMA READ.
+        self.is_read = opcode is WcOpcode.RDMA_READ
+        #: True for atomic operations.
+        self.is_atomic = (opcode is WcOpcode.COMP_SWAP
+                          or opcode is WcOpcode.FETCH_ADD)
 
     @property
     def last_psn(self) -> int:
         """Last PSN consumed by this WQE."""
         return psn_add(self.first_psn, self.psn_span - 1)
-
-    @property
-    def is_read(self) -> bool:
-        """True for RDMA READ."""
-        return self.wr.opcode is WcOpcode.RDMA_READ
-
-    @property
-    def is_atomic(self) -> bool:
-        """True for atomic operations."""
-        return self.wr.opcode in (WcOpcode.COMP_SWAP, WcOpcode.FETCH_ADD)
 
 
 class Requester:
@@ -90,6 +102,11 @@ class Requester:
         self._fault_raise_timer = None
         self._progress_stamp = 0
         self._timer_armed_at = 0
+        # ``profile.detection_timeout_ns(cack)`` for the profile and
+        # C_ACK it was computed from (see ``_sample_timeout``).
+        self._timeout_profile = None
+        self._timeout_cack = -1
+        self._timeout_base = 0
         # statistics
         self.timeouts = 0
         self.retransmitted_packets = 0
@@ -141,14 +158,17 @@ class Requester:
         if self.state != STATE_NORMAL:
             return
         window = self.qp.send_window()
-        in_flight = sum(1 for w in self.wqes
-                        if w.transmitted and w.resp_needed > 0)
-        for wqe in self.wqes:
+        wqes = self.wqes
+        in_flight = 0
+        for wqe in wqes:
+            if wqe.transmitted and wqe.resp_needed > 0:
+                in_flight += 1
+        for wqe in wqes:
             if wqe.transmitted:
                 continue
             if wqe.resp_needed > 0 and in_flight >= window:
                 break  # initiator depth exhausted; preserve order
-            if not self._emit_wqe(wqe, retransmission=False):
+            if not self._emit_wqe(wqe, False):
                 break  # send-side fault stalled the queue
             if wqe.resp_needed > 0:
                 in_flight += 1
@@ -161,105 +181,92 @@ class Requester:
         """Emit the request packets of ``wqe``.
 
         Returns False when a send-side ODP fault stalls the queue (the
-        WQE's packets were not emitted).
+        WQE's packets were not emitted).  Each packet is one positional
+        ``Packet(src_lid, dst_lid, src_qpn, dst_qpn, opcode, psn,
+        ack_req, payload, reth, aeth, retransmission)`` call.
         """
         wr = wqe.wr
+        qp = self.qp
+        rnic = qp.rnic
         if wqe.is_read:
             wqe.transmitted = True
             if retransmission:
                 wqe.resp_received = 0
-            packet = self._make_packet(
-                Opcode.RDMA_READ_REQUEST, wqe.first_psn, ack_req=True,
-                reth=Reth(wr.remote.addr, wr.remote.rkey, wr.local.length),
-                retransmission=retransmission)
-            self._send(packet, retransmission)
+                self.retransmitted_packets += 1
+            remote = wr.remote
+            rnic.tx_enqueue(Packet(
+                rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn,
+                _READ_REQUEST, wqe.first_psn, True, None,
+                Reth(remote.addr, remote.rkey, wr.local.length), None,
+                retransmission))
             return True
         if wqe.is_atomic:
             wqe.transmitted = True
+            if retransmission:
+                self.retransmitted_packets += 1
             opcode = (Opcode.COMPARE_SWAP if wr.opcode is WcOpcode.COMP_SWAP
                       else Opcode.FETCH_ADD)
+            remote = wr.remote
             # Atomics always carry real operand bytes: they are semantic,
             # not bulk data, and feed the responder's compare/add.
-            packet = self._make_packet(
-                opcode, wqe.first_psn, ack_req=True,
-                payload=wr.compare_add.to_bytes(8, "little")
+            rnic.tx_enqueue(Packet(
+                rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn, opcode,
+                wqe.first_psn, True,
+                wr.compare_add.to_bytes(8, "little")
                 + wr.swap.to_bytes(8, "little"),
-                reth=Reth(wr.remote.addr, wr.remote.rkey, 8),
-                retransmission=retransmission)
-            self._send(packet, retransmission)
+                Reth(remote.addr, remote.rkey, 8), None, retransmission))
             return True
         # WRITE / SEND: local pages must be readable by the NIC first.
         if not self._local_pages_ready(wqe):
             self._enter_odp_wait(wqe, from_send_side=True)
             return False
         wqe.transmitted = True
-        mtu = self.qp.rnic.profile.mtu
-        chunks, total_len = self._gather_chunks(wr, mtu)
-        is_write = wr.opcode is WcOpcode.RDMA_WRITE
-        for index, chunk in enumerate(chunks):
-            opcode = self._segment_opcode(is_write, index, len(chunks))
-            packet = self._make_packet(
-                opcode, psn_add(wqe.first_psn, index),
-                ack_req=(index == len(chunks) - 1),
-                payload=chunk,
-                reth=(Reth(wr.remote.addr, wr.remote.rkey, total_len)
-                      if is_write and index == 0 else None),
-                retransmission=retransmission)
-            self._send(packet, retransmission)
-        return True
-
-    @staticmethod
-    def _segment_opcode(is_write: bool, index: int, total: int) -> Opcode:
-        if total == 1:
-            return Opcode.RDMA_WRITE_ONLY if is_write else Opcode.SEND_ONLY
-        if index == 0:
-            return Opcode.RDMA_WRITE_FIRST if is_write else Opcode.SEND_FIRST
-        if index == total - 1:
-            return Opcode.RDMA_WRITE_LAST if is_write else Opcode.SEND_LAST
-        return Opcode.RDMA_WRITE_MIDDLE if is_write else Opcode.SEND_MIDDLE
-
-    def _gather_chunks(self, wr: WorkRequest, mtu: int):
-        """MTU-sized payload chunks plus the total byte length.
-
-        In lazy mode (``rnic.lazy_payloads``) the chunks are
-        :class:`PayloadRef` descriptors — same sizes, no DMA read and no
-        byte copies — so the wire/timing model sees an identical stream.
-        Inline data stays real: it is tiny and already gathered.
-        """
+        mtu = rnic.profile.mtu
+        # MTU-sized chunks of the payload.  In lazy mode
+        # (``rnic.lazy_payloads``) a chunk is a :class:`PayloadRef`
+        # descriptor (same size, no DMA read, no byte copies), so the
+        # wire/timing model sees an identical stream.  Inline data stays
+        # real: it is tiny and already gathered.
+        lazy = False
         if wr.inline_data is not None:
             payload = wr.inline_data
-        elif self.qp.rnic.lazy_payloads:
-            length = wr.local.length
-            pattern = wr.local.addr & 0xFF
-            chunks = [PayloadRef(pattern, min(mtu, length - off))
-                      for off in range(0, length, mtu)] or [PayloadRef(0, 0)]
-            return chunks, length
+            total_len = len(payload)
+        elif rnic.lazy_payloads:
+            lazy = True
+            total_len = wr.local.length
+            pattern = wr.local.addr & 0xFF if total_len else 0
         else:
             payload = wr.local.mr.vm.read(wr.local.addr, wr.local.length)
-        chunks = [payload[i:i + mtu]
-                  for i in range(0, len(payload), mtu)] or [b""]
-        return chunks, len(payload)
-
-    def _make_packet(self, opcode: Opcode, psn: int, ack_req: bool = False,
-                     payload=None, reth: Optional[Reth] = None,
-                     retransmission: bool = False) -> Packet:
-        return Packet(
-            src_lid=self.qp.rnic.lid,
-            dst_lid=self.qp.remote_lid,
-            src_qpn=self.qp.qpn,
-            dst_qpn=self.qp.remote_qpn,
-            opcode=opcode,
-            psn=psn,
-            ack_req=ack_req,
-            payload=payload,
-            reth=reth,
-            retransmission=retransmission,
-        )
-
-    def _send(self, packet: Packet, retransmission: bool) -> None:
+            total_len = len(payload)
+        count = (total_len + mtu - 1) // mtu or 1
         if retransmission:
-            self.retransmitted_packets += 1
-        self.qp.rnic.tx_enqueue(packet)
+            self.retransmitted_packets += count
+        if wr.opcode is _WC_RDMA_WRITE:
+            only, first, middle, last = _WRITE_SEGMENTS
+            reth = Reth(wr.remote.addr, wr.remote.rkey, total_len)
+        else:
+            only, first, middle, last = _SEND_SEGMENTS
+            reth = None
+        src_lid, dst_lid = rnic.lid, qp.remote_lid
+        src_qpn, dst_qpn = qp.qpn, qp.remote_qpn
+        psn = wqe.first_psn
+        tail = count - 1
+        tx_enqueue = rnic.tx_enqueue
+        for index in range(count):
+            offset = index * mtu
+            if lazy:
+                chunk = PayloadRef(pattern, min(mtu, total_len - offset))
+            else:
+                chunk = payload[offset:offset + mtu]
+            if index == tail:
+                opcode = only if index == 0 else last
+            else:
+                opcode = first if index == 0 else middle
+            tx_enqueue(Packet(
+                src_lid, dst_lid, src_qpn, dst_qpn, opcode,
+                (psn + index) & PSN_MASK, index == tail, chunk,
+                reth if index == 0 else None, None, retransmission))
+        return True
 
     def _retransmit_from_oldest(self) -> None:
         """Go-back-N: re-emit every incomplete WQE, oldest first,
@@ -273,7 +280,7 @@ class Requester:
         for wqe in self.wqes:
             if wqe.resp_needed > 0 and in_flight >= window:
                 break  # initiator depth exhausted
-            if not self._emit_wqe(wqe, retransmission=wqe.transmitted):
+            if not self._emit_wqe(wqe, wqe.transmitted):
                 break  # send-side fault stalled the queue mid-burst
             if wqe.resp_needed > 0:
                 in_flight += 1
@@ -298,7 +305,7 @@ class Requester:
                 # are not provably lost, so selective repeat skips it.
                 in_flight += 1
                 continue
-            if not self._emit_wqe(wqe, retransmission=wqe.transmitted):
+            if not self._emit_wqe(wqe, wqe.transmitted):
                 break  # send-side fault stalled the queue mid-burst
             if wqe.resp_needed > 0:
                 in_flight += 1
@@ -309,14 +316,12 @@ class Requester:
 
     def on_packet(self, packet: Packet) -> None:
         """Entry point for responder->requester packets."""
-        if packet.opcode is Opcode.ATOMIC_ACKNOWLEDGE:
-            self._on_atomic_response(packet)
-            return
-        if packet.is_ack:
-            self._on_aeth(packet)
-            return
         if packet.is_read_response:
             self._on_read_response(packet)
+        elif packet.opcode is _ATOMIC_ACKNOWLEDGE:
+            self._on_atomic_response(packet)
+        elif packet.is_ack:
+            self._on_aeth(packet)
 
     def _on_aeth(self, packet: Packet) -> None:
         syndrome = packet.aeth.syndrome
@@ -347,25 +352,31 @@ class Requester:
             # are discarded.
             self.responses_discarded_rnr += 1
             return
-        head = self.wqes[0] if self.wqes else None
-        if head is not None and head.resp_needed == 0 \
-                and psn_diff(packet.psn, head.last_psn) > 0:
-            # A READ response implicitly acknowledges preceding WRITE/SEND
-            # requests whose explicit ACK may have been lost.
-            self._ack_through(psn_add(packet.psn, -1))
-        wqe = self._oldest_expecting_response()
-        if wqe is None:
+        wqes = self.wqes
+        if not wqes:
             return
-        expected = psn_add(wqe.first_psn, wqe.resp_received)
-        if packet.psn != expected:
+        psn = packet.psn
+        wqe = wqes[0]
+        if wqe.resp_needed == 0:
+            if psn_diff(psn, wqe.last_psn) > 0:
+                # A READ response implicitly acknowledges preceding
+                # WRITE/SEND requests whose explicit ACK may have been
+                # lost.
+                self._ack_through(psn_add(psn, -1))
+            wqe = self._oldest_expecting_response()
+            if wqe is None:
+                return
+        if psn != (wqe.first_psn + wqe.resp_received) & PSN_MASK:
             return  # stale duplicate / out-of-order: silently dropped
-        wr = wqe.wr
-        mtu = self.qp.rnic.profile.mtu
-        chunk_addr = wr.local.addr + wqe.resp_received * mtu
-        chunk_len = min(mtu, wr.local.length - wqe.resp_received * mtu)
-        mr = wr.local.mr
-        if mr.mode.is_odp and not self.qp.rnic.odp.requester_range_ready(
-                self.qp.qpn, mr, chunk_addr, chunk_len):
+        qp = self.qp
+        local = wqe.wr.local
+        mtu = qp.rnic.profile.mtu
+        offset = wqe.resp_received * mtu
+        chunk_addr = local.addr + offset
+        chunk_len = min(mtu, local.length - offset)
+        mr = local.mr
+        if mr.mode.is_odp and not qp.rnic.odp.requester_range_ready(
+                qp.qpn, mr, chunk_addr, chunk_len):
             # Client-side ODP: page status stale -> discard and re-pull.
             self.responses_discarded_odp += 1
             self._note_progress(timer_only=True)
@@ -376,13 +387,14 @@ class Requester:
                 # firmware time; posts keep transmitting until then.
                 self._schedule_fault_raise()
             return
-        if not isinstance(packet.payload, PayloadRef):
-            mr.vm.write(chunk_addr, packet.payload or b"")
+        payload = packet.payload
+        if type(payload) is not PayloadRef:
+            mr.vm.write(chunk_addr, payload or b"")
         wqe.resp_received += 1
         self._note_progress()
         if wqe.resp_received >= wqe.resp_needed:
             self._complete_head_through(wqe)
-        self._ensure_timer(rearm=True)
+        self._ensure_timer(True)
 
     def _on_atomic_response(self, packet: Packet) -> None:
         wqe = self._oldest_expecting_response()
@@ -579,7 +591,9 @@ class Requester:
             return
         # Only resume when the *head* WQE became serviceable; freshness of
         # a later WQE cannot unblock in-order response acceptance.
-        if self.wqes and self.wqes[0] is not wqe and not self._head_ready():
+        wqes = self.wqes
+        if wqes and wqes[0] is not wqe \
+                and not self._local_pages_ready(wqes[0]):
             return
         self.state = STATE_NORMAL
         if self._blind_timer is not None:
@@ -587,19 +601,6 @@ class Requester:
             self._blind_timer = None
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
-
-    def _head_ready(self) -> bool:
-        if not self.wqes:
-            return True
-        head = self.wqes[0]
-        wr = head.wr
-        if wr.local is None:
-            return True
-        mr = wr.local.mr
-        if not mr.mode.is_odp:
-            return True
-        return self.qp.rnic.odp.requester_range_ready(
-            self.qp.qpn, mr, wr.local.addr, wr.local.length)
 
     def _local_pages_ready(self, wqe: Wqe) -> bool:
         wr = wqe.wr
@@ -624,13 +625,18 @@ class Requester:
             self.rnr_retries_used = 0
 
     def _ensure_timer(self, rearm: bool = False) -> None:
-        if self.qp.attrs.cack == 0 or not self.wqes:
-            if not self.wqes:
-                self._cancel_timer()
+        timer = self._timer
+        if not self.wqes:
+            if timer is not None:
+                timer.cancel()
+                self._timer = None
             return
-        if self._timer is not None and self._timer.pending and not rearm:
+        if self.qp.attrs.cack == 0:
             return
-        self._cancel_timer()
+        if timer is not None:
+            if timer.pending and not rearm:
+                return
+            timer.cancel()
         duration = self._sample_timeout()
         self._timer_armed_at = self.sim.now
         self._timer = self.sim.schedule_timer(duration, self._on_timer,
@@ -642,8 +648,16 @@ class Requester:
             self._timer = None
 
     def _sample_timeout(self) -> int:
-        profile = self.qp.rnic.profile
-        base = profile.detection_timeout_ns(self.qp.attrs.cack)
+        rnic = self.qp.rnic
+        profile = rnic.profile
+        cack = self.qp.attrs.cack
+        if profile is not self._timeout_profile or cack != self._timeout_cack:
+            # ``detection_timeout_ns`` is a pure function of the frozen
+            # profile and C_ACK: recompute only when either changes.
+            self._timeout_profile = profile
+            self._timeout_cack = cack
+            self._timeout_base = profile.detection_timeout_ns(cack)
+        base = self._timeout_base
         m = self.qp.mitigation
         if m is not None and m.rto_low_ns:
             # IRN: selective repeat makes a spurious retransmission
@@ -651,7 +665,7 @@ class Requester:
             # collapses to a short RTO_low — the lever that turns a
             # hundreds-of-ms damming stall into a sub-ms hiccup.
             base = min(base, m.rto_low_ns)
-        base = round(base * self.qp.rnic.load_stretch())
+        base = round(base * rnic.load_stretch())
         return self.sim.jitter(base, profile.timeout_jitter)
 
     def _on_timer(self, stamp_at_arm: int) -> None:

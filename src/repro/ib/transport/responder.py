@@ -21,20 +21,32 @@ behaviours of Section IV:
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Set
 
 from collections import deque
 
 from repro.ib.opcodes import Opcode, Syndrome
 from repro.ib.packets import Aeth, Packet, PayloadRef
-from repro.ib.transport.psn import psn_add, psn_diff
+from repro.ib.transport.psn import PSN_BITS, PSN_MASK, psn_add, psn_diff
 from repro.ib.verbs.enums import Access, QpState, WcOpcode, WcStatus
 from repro.ib.verbs.wr import RecvRequest, WorkCompletion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ib.verbs.mr import MemoryRegion
     from repro.ib.verbs.qp import QueuePair
+
+_PSN_SPACE = 1 << PSN_BITS
+_PSN_HALF = _PSN_SPACE >> 1
+
+# Hot-path enum members as module constants: on CPython 3.11 a
+# ``Enum.MEMBER`` attribute load costs ~100 ns, a global ~10 ns.
+_QP_ERROR = QpState.ERROR
+_READ_REQUEST = Opcode.RDMA_READ_REQUEST
+_REMOTE_READ = Access.REMOTE_READ
+_READ_ONLY = Opcode.RDMA_READ_RESPONSE_ONLY
+_READ_FIRST = Opcode.RDMA_READ_RESPONSE_FIRST
+_READ_MIDDLE = Opcode.RDMA_READ_RESPONSE_MIDDLE
+_READ_LAST = Opcode.RDMA_READ_RESPONSE_LAST
 
 _WRITE_OPS = {Opcode.RDMA_WRITE_FIRST, Opcode.RDMA_WRITE_MIDDLE,
               Opcode.RDMA_WRITE_LAST, Opcode.RDMA_WRITE_ONLY}
@@ -101,33 +113,47 @@ class Responder:
 
     def on_packet(self, packet: Packet) -> None:
         """Entry point for requester->responder packets."""
-        if self.qp.state is QpState.ERROR:
+        qp = self.qp
+        if qp.state is _QP_ERROR:
             return
-        diff = psn_diff(packet.psn, self.epsn)
-        flaw = self.qp.rnic.profile.damming_flaw
-        if flaw and diff >= 0 and not self._seen(packet.psn) \
-                and self.sim.now < self._flaw_drop_until:
+        psn = packet.psn
+        # ``psn_diff(psn, epsn)`` and the seen-PSN tracking, inline.
+        diff = (psn - self.epsn) & PSN_MASK
+        if diff >= _PSN_HALF:
+            diff -= _PSN_SPACE
+        highest = self._highest_seen_psn
+        unseen = highest is None or 0 < (psn - highest) & PSN_MASK < _PSN_HALF
+        if unseen and diff >= 0 and self.sim.now < self._flaw_drop_until \
+                and qp.rnic.profile.damming_flaw:
             # The ConnectX-4 defect: a never-before-seen request
             # tailgating a replayed one inside the same burst vanishes
             # without a trace (dropped before PSN tracking, so it stays
             # "unseen" for later bursts and the dam holds).
             self.flaw_drops += 1
-            self.qp.rnic.stats["flaw_drops"] += 1
+            qp.rnic.stats["flaw_drops"] += 1
             # ``b`` carries the victim's (client's) QPN so the diagnosis
             # engine can corroborate a stall without fabric knowledge.
-            tel = self.qp.rnic.telemetry
+            tel = qp.rnic.telemetry
             if tel is not None:
                 tel.instant(self.sim.now, "damming.flaw_drop",
-                            self.qp.rnic.lid, self.qp.qpn, packet.psn,
-                            self.qp.remote_qpn)
+                            qp.rnic.lid, qp.qpn, psn, qp.remote_qpn)
             return
-        self._note_seen(packet.psn)
-        if diff == 0:
-            self._execute_new(packet)
-        elif diff < 0:
-            self._handle_duplicate(packet)
-        else:
+        if unseen:
+            self._highest_seen_psn = psn
+        if diff > 0:
+            if self._seq_nak_outstanding:
+                m = qp.mitigation
+                if m is None or not m.eager_seq_nak:
+                    return  # squelched behind the outstanding NAK
             self._send_seq_nak()
+        elif packet.opcode is _READ_REQUEST:
+            # The spec permits re-execution of duplicate READs; the
+            # replayed service arms the flaw window (client-side damming).
+            self._execute_read(packet, diff < 0)
+        elif diff == 0:
+            self._execute_new(packet)
+        else:
+            self._handle_duplicate(packet)
 
     # ------------------------------------------------------------------
     # New requests
@@ -135,9 +161,7 @@ class Responder:
 
     def _execute_new(self, packet: Packet) -> None:
         opcode = packet.opcode
-        if opcode is Opcode.RDMA_READ_REQUEST:
-            self._execute_read(packet, duplicate=False)
-        elif opcode in _WRITE_OPS:
+        if opcode in _WRITE_OPS:
             self._execute_write(packet)
         elif opcode in _SEND_OPS:
             self._execute_send(packet)
@@ -147,37 +171,52 @@ class Responder:
     def _execute_read(self, packet: Packet, duplicate: bool) -> None:
         reth = packet.reth
         mr = self._validate(reth.rkey, reth.vaddr, reth.dma_length,
-                            Access.REMOTE_READ)
+                            _REMOTE_READ)
+        psn = packet.psn
         if mr is None:
-            self._send_fatal_nak(Syndrome.NAK_REMOTE_ACCESS_ERR, packet.psn)
+            self._send_fatal_nak(Syndrome.NAK_REMOTE_ACCESS_ERR, psn)
             return
-        odp = self.qp.rnic.odp
+        qp = self.qp
+        rnic = qp.rnic
+        odp = rnic.odp
         if mr.mode.is_odp and not odp.responder_range_ready(
                 mr, reth.vaddr, reth.dma_length):
             odp.responder_raise_faults(mr, reth.vaddr, reth.dma_length)
-            self._faulted_psns.add(packet.psn)
-            self._send_rnr_nak(packet.psn)
+            self._faulted_psns.add(psn)
+            self._send_rnr_nak(psn)
             return
-        replay = duplicate or packet.psn in self._faulted_psns
-        self._faulted_psns.discard(packet.psn)
-        mtu = self.qp.rnic.profile.mtu
+        faulted = self._faulted_psns
+        replay = duplicate or psn in faulted
+        faulted.discard(psn)
+        mtu = rnic.profile.mtu
         length = reth.dma_length
-        if self.qp.rnic.lazy_payloads:
+        count = (length + mtu - 1) // mtu or 1
+        lazy = rnic.lazy_payloads
+        if lazy:
             # Zero-copy mode: response payloads are (pattern, length)
             # descriptors — the wire model only consumes sizes, so the
             # DMA read and byte slicing are skipped entirely.
-            pattern = reth.vaddr & 0xFF
-            chunks = [PayloadRef(pattern, min(mtu, length - off))
-                      for off in range(0, length, mtu)] or [PayloadRef(0, 0)]
+            pattern = reth.vaddr & 0xFF if length else 0
         else:
             data = mr.vm.read(reth.vaddr, length)
-            chunks = [data[i:i + mtu]
-                      for i in range(0, len(data), mtu)] or [b""]
-        for index, chunk in enumerate(chunks):
-            self._send_response(self._read_opcode(index, len(chunks)),
-                                psn_add(packet.psn, index), chunk)
+        src_lid, dst_lid = rnic.lid, qp.remote_lid
+        src_qpn, dst_qpn = qp.qpn, qp.remote_qpn
+        tail = count - 1
+        tx_enqueue = rnic.tx_enqueue
+        for index in range(count):
+            offset = index * mtu
+            if lazy:
+                chunk = PayloadRef(pattern, min(mtu, length - offset))
+            else:
+                chunk = data[offset:offset + mtu]
+            if index == tail:
+                opcode = _READ_ONLY if index == 0 else _READ_LAST
+            else:
+                opcode = _READ_FIRST if index == 0 else _READ_MIDDLE
+            tx_enqueue(Packet(src_lid, dst_lid, src_qpn, dst_qpn, opcode,
+                              (psn + index) & PSN_MASK, False, chunk))
         if not duplicate:
-            self.epsn = psn_add(packet.psn, len(chunks))
+            self.epsn = (psn + count) & PSN_MASK
             self.msn += 1
             self.requests_executed += 1
             self._seq_nak_outstanding = False
@@ -189,12 +228,12 @@ class Responder:
     @staticmethod
     def _read_opcode(index: int, total: int) -> Opcode:
         if total == 1:
-            return Opcode.RDMA_READ_RESPONSE_ONLY
+            return _READ_ONLY
         if index == 0:
-            return Opcode.RDMA_READ_RESPONSE_FIRST
+            return _READ_FIRST
         if index == total - 1:
-            return Opcode.RDMA_READ_RESPONSE_LAST
-        return Opcode.RDMA_READ_RESPONSE_MIDDLE
+            return _READ_LAST
+        return _READ_MIDDLE
 
     def _execute_write(self, packet: Packet) -> None:
         opcode = packet.opcode
@@ -312,11 +351,6 @@ class Responder:
 
     def _handle_duplicate(self, packet: Packet) -> None:
         opcode = packet.opcode
-        if opcode is Opcode.RDMA_READ_REQUEST:
-            # The spec permits re-execution of duplicate READs; the
-            # replayed service arms the flaw window (client-side damming).
-            self._execute_read(packet, duplicate=True)
-            return
         if opcode in (Opcode.COMPARE_SWAP, Opcode.FETCH_ADD):
             cached = self._atomic_cache.get(packet.psn)
             if cached is not None:
@@ -335,14 +369,14 @@ class Responder:
             self._arm_flaw_window()
 
     def _send_seq_nak(self) -> None:
-        if self._seq_nak_outstanding:
-            m = self.qp.mitigation
-            if m is None or not m.eager_seq_nak:
-                return
-            # IRN-style eager loss feedback: NAK every out-of-sequence
-            # arrival instead of squelching behind one outstanding gap
-            # notification, so the selective requester learns about a
-            # hole as soon as any later packet lands.
+        """NAK an out-of-sequence request.
+
+        The caller squelches repeats: while one NAK is outstanding, a
+        further gap is NAKed only under IRN-style eager loss feedback
+        (``mitigation.eager_seq_nak``), which NAKs every out-of-sequence
+        arrival so the selective requester learns about a hole as soon
+        as any later packet lands.
+        """
         self._seq_nak_outstanding = True
         self.seq_naks_sent += 1
         self.qp.rnic.stats["seq_naks"] += 1
@@ -357,11 +391,6 @@ class Responder:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _seen(self, psn: int) -> bool:
-        if self._highest_seen_psn is None:
-            return False
-        return psn_diff(psn, self._highest_seen_psn) <= 0
-
     def _note_seen(self, psn: int) -> None:
         if self._highest_seen_psn is None \
                 or psn_diff(psn, self._highest_seen_psn) > 0:
@@ -374,7 +403,7 @@ class Responder:
 
     def _validate(self, rkey: int, addr: int, size: int,
                   needed: Access) -> Optional["MemoryRegion"]:
-        mr = self.qp.rnic.mr_by_rkey(rkey)
+        mr = self.qp.rnic._mrs_by_rkey.get(rkey)  # noqa: SLF001
         if mr is None or mr.deregistered:
             return None
         if not mr.contains(addr, size):
@@ -412,14 +441,7 @@ class Responder:
     def _send_response(self, opcode: Opcode, psn: int,
                        payload: Optional[bytes],
                        aeth: Optional[Aeth] = None) -> None:
-        packet = Packet(
-            src_lid=self.qp.rnic.lid,
-            dst_lid=self.qp.remote_lid,
-            src_qpn=self.qp.qpn,
-            dst_qpn=self.qp.remote_qpn,
-            opcode=opcode,
-            psn=psn,
-            payload=payload,
-            aeth=aeth,
-        )
-        self.qp.rnic.tx_enqueue(packet)
+        qp = self.qp
+        rnic = qp.rnic
+        rnic.tx_enqueue(Packet(rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn,
+                               opcode, psn, False, payload, None, aeth))

@@ -54,12 +54,15 @@ class Access(enum.Flag):
     @classmethod
     def all(cls) -> "Access":
         """Every access flag (the common benchmark setting)."""
-        return (cls.LOCAL_WRITE | cls.REMOTE_READ
-                | cls.REMOTE_WRITE | cls.REMOTE_ATOMIC)
+        return _ALL_ACCESS
 
+
+# Built once: each ``Flag.__or__`` is a Python-level call.
+_ALL_ACCESS = (Access.LOCAL_WRITE | Access.REMOTE_READ
+               | Access.REMOTE_WRITE | Access.REMOTE_ATOMIC)
 
 #: Convenience alias used across examples.
-Access.ALL = Access.all()  # type: ignore[attr-defined]
+Access.ALL = _ALL_ACCESS  # type: ignore[attr-defined]
 
 
 class OdpMode(enum.Enum):
@@ -69,7 +72,7 @@ class OdpMode(enum.Enum):
     EXPLICIT = "ODP_EXPLICIT"    # ODP for this region
     IMPLICIT = "ODP_IMPLICIT"    # ODP for the whole address space
 
-    @property
-    def is_odp(self) -> bool:
-        """True for either ODP flavour."""
-        return self is not OdpMode.PINNED
+    def __init__(self, value: str) -> None:
+        #: True for either ODP flavour.  A plain member attribute, not
+        #: a property: the transport reads it on every packet.
+        self.is_odp = value != "PINNED"

@@ -55,6 +55,9 @@ class Network:
         self.stats: Dict[int, PortStats] = {}
         self.drops: List[DropReason] = []
         self._links: Dict[int, Link] = {}
+        #: per-LID ``(PortStats, uplink LinkEnd)``, built in
+        #: :meth:`attach`: the injection path's one lookup per packet.
+        self._egress: Dict[int, Tuple[PortStats, Any]] = {}
         self._taps: List[Callable[[int, int, Any], None]] = []
         self._loss_rules: List[Callable[[Any], bool]] = []
         #: attached RNICs by LID (registered by the device at attach
@@ -96,6 +99,7 @@ class Network:
         switch.attach(lid, link.b_to_a)
         self._links[lid] = link
         self.stats[lid] = stats
+        self._egress[lid] = (stats, link.a_to_b)
 
     def lids(self) -> List[int]:
         """All attached LIDs."""
@@ -232,17 +236,17 @@ class Network:
                     else:
                         self._transmit(src_lid, replacement)
                 return
-        stats = self.stats[src_lid]
+        stats, uplink = self._egress[src_lid]
         stats.tx_packets += 1
         stats.tx_bytes += packet.wire_size
-        self._links[src_lid].a_to_b.transmit(packet)
+        uplink.transmit(packet)
 
     def _transmit(self, src_lid: int, packet: Any) -> None:
         """Book tx stats and hand a chaos replacement to the uplink."""
-        stats = self.stats[src_lid]
+        stats, uplink = self._egress[src_lid]
         stats.tx_packets += 1
         stats.tx_bytes += packet.wire_size
-        self._links[src_lid].a_to_b.transmit(packet)
+        uplink.transmit(packet)
 
     def fleet_allowed(self, src_lid: int, dst_lid: int) -> bool:
         """May rounds between this LID pair be applied in closed form?
