@@ -1,19 +1,19 @@
-"""Fleet-scale Table 13: the mini-Spark workload sharded over QP groups.
+"""The Table 13 mini-Spark workload as a fleet of QP groups.
 
-The paper's Table 13 tops out at 2858 QPs per cell because one Python
-process simulating one monolithic shuffle is the ceiling.  This module
-defines the spark fleet workload for
+This module defines the spark fleet workload for
 :mod:`repro.experiments.shard`: a cell's traffic shape re-expressed as
 ``num_groups`` independent client/server QP groups, each a hermetic
 :class:`~repro.apps.spark.engine.SparkCluster` with its private RNG
-streams and its slice of the fleet's cold-page (fault) budget.  That
-buys two things:
+streams and its slice of the fleet's cold-page (fault) budget.
 
-* **scale** — ``python -m repro tab13 --qps 10240 --shards 4`` runs a
-  10k-QP cell, far past the monolithic ceiling;
-* **speed** — even at one shard, G small simulators beat one giant one
-  (the event heap and status engine scale super-linearly with QP
-  count; ``BENCH_tab13.json`` pins the decomposition speedup).
+A fleet models a different machine from the classic cell: each group
+has its own RNIC pair, so the page-status-engine contention behind the
+flood is split ``num_groups`` ways.  The SparkTC/Reedbush-H ratio reads
+5.83 as one 1280-QP cell and 2.33 as four 320-QP groups.  The fleet's
+numbers are its own family, never a faster way to compute the
+monolithic cell's.  Perfbench's spark-fleet workload runs it at two
+shards, and ``python -m repro.bench.tab13bench`` gates its pooled path
+(bit-identity at shards 1, 2 and 4).
 
 The flood *fit* happens once at fleet scale: ``cold_pages_per_round``
 inverts the paper's measured stall into a cold-page budget for the
@@ -32,15 +32,13 @@ RNIC scopes.  Results are bit-identical for every shard count (tested).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, ClassVar, FrozenSet, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import ClassVar, FrozenSet, List, Sequence, Tuple
 
 from repro.apps.spark.workloads import WORKLOADS, get_cell
 from repro.experiments.shard import (
-    COLLECT_CAPTURE,
     COLLECT_COUNTERS,
     COLLECT_FINGERPRINT,
-    COLLECT_RECORDS,
     FleetWorkload,
     GroupResult,
     GroupSpec,
@@ -59,8 +57,8 @@ class SparkFleetConfig:
     paper-fitted stall calibrate the run; ``qps`` overrides the cell's
     QP count (the whole point); ``num_groups`` is the fan-out;
     ``scale`` divides the fitted cold-page budget for test-sized runs
-    (1 = the real fit).  ``coalesce`` defaults on — the fleet path
-    exists for scale, and it is a bit-identical knob.
+    (1 = the real fit).  ``coalesce`` defaults on; it is a
+    bit-identical knob.
     """
 
     workload: str = "SparkTC"
@@ -71,7 +69,6 @@ class SparkFleetConfig:
     seed: int = 0
     scale: int = 1
     coalesce: bool = True
-    telemetry: Any = field(default=None, compare=False, repr=False)
 
     # set below; a class attribute, not a dataclass field, so
     # replace()/pickle round-trips leave it alone
@@ -160,18 +157,14 @@ def _relabel(registry, phase: str, spec: GroupSpec, workers: int
 
 
 def _run_spark_group(spec: GroupSpec, base_config: SparkFleetConfig,
-                     collect: FrozenSet[str], telemetry=None
-                     ) -> GroupResult:
+                     collect: FrozenSet[str]) -> GroupResult:
     """Run one QP group (both ODP phases) and bundle its partials."""
     from repro.apps.spark.benchmark import _run_once
 
-    if collect & {COLLECT_CAPTURE, COLLECT_RECORDS}:
-        raise ValueError("the spark fleet workload has no capture "
-                         "surface; collect counters/fingerprint instead")
     cell, cold_total, fetches = fleet_fit(base_config)
     cold = group_cold_pages(cold_total, base_config.num_groups, spec.index)
-    group_telemetry = telemetry
-    if telemetry is None and COLLECT_FINGERPRINT in collect:
+    group_telemetry = None
+    if COLLECT_FINGERPRINT in collect:
         from repro.telemetry import Telemetry
         group_telemetry = Telemetry()
     # Distinct private streams per group *and* per phase: 2s / 2s+1
@@ -179,7 +172,7 @@ def _run_spark_group(spec: GroupSpec, base_config: SparkFleetConfig,
     knobs = dict(total_qps=spec.num_qps, cold_pages=cold, fetches=fetches,
                  coalesce=base_config.coalesce)
     disable = _run_once(cell, odp_enabled=False, seed=2 * spec.seed,
-                        telemetry=telemetry, **knobs)
+                        **knobs)
     enable = _run_once(cell, odp_enabled=True, seed=2 * spec.seed + 1,
                        record_completions=True,
                        telemetry=group_telemetry, **knobs)
@@ -200,8 +193,7 @@ def _run_spark_group(spec: GroupSpec, base_config: SparkFleetConfig,
             + _relabel(collect_counters(enable["cluster"].fabric), "enable",
                        spec, workers)))
     fingerprint = None
-    if COLLECT_FINGERPRINT in collect and telemetry is None \
-            and group_telemetry is not None:
+    if group_telemetry is not None:
         fingerprint = group_telemetry.fingerprint()
     return GroupResult(index=spec.index, result=run, counters=counters,
                        fingerprint=fingerprint)

@@ -113,17 +113,6 @@ class MicrobenchConfig:
     #: them to the per-packet path with a tally in the result's
     #: ``mitigation_fallbacks`` — never a silent behaviour change.
     mitigation: str = "none"
-    #: Fleet decomposition: run the workload as this many independent
-    #: client/server QP groups, each a hermetic simulator seeded from
-    #: :func:`repro.experiments.shard.group_seed`, with results merged
-    #: deterministically (see :mod:`repro.experiments.shard`).  Must
-    #: divide ``num_qps`` and ``num_ops``.  1 (the default) is the
-    #: classic single-pair benchmark with no shard layer at all.
-    num_groups: int = 1
-    #: Worker processes for fleet runs (only meaningful with
-    #: ``num_groups > 1``): 0 means one per usable core.  Any value
-    #: yields bit-identical results — shards change wall clock only.
-    shards: int = 1
     #: Observability session to attach to the run's cluster (see
     #: :mod:`repro.telemetry`).  None (the default) records nothing and
     #: costs nothing; attaching never changes reported metrics.  Not a
@@ -211,22 +200,7 @@ def run_microbench(config: MicrobenchConfig,
     ``on_cluster``, when given, is called with the freshly built
     :class:`~repro.host.cluster.Cluster` before any traffic — the hook
     the capture layer uses to attach a sniffer.
-
-    ``num_groups > 1`` delegates to the shard layer
-    (:func:`repro.experiments.shard.run_fleet`): the fleet's groups run
-    as independent simulators — possibly across worker processes — and
-    the merged result comes back bit-identical for every shard count.
-    ``on_cluster`` cannot follow a fleet into worker processes, so the
-    combination is refused rather than silently skipped.
     """
-    if config.num_groups > 1:
-        if on_cluster is not None:
-            raise ValueError(
-                "on_cluster does not compose with num_groups > 1 (the "
-                "hook cannot reach shard-worker clusters); use "
-                "repro.experiments.shard.run_fleet collect flags instead")
-        from repro.experiments.shard import run_fleet
-        return run_fleet(config).result
     cluster = build_pair(device=config.device, seed=config.seed,
                          profile=config.profile)
     if on_cluster is not None:

@@ -1,4 +1,4 @@
-"""Scale benchmark: the storm coalescer from 50 to 64k QPs.
+"""Scale benchmark: the storm coalescer from 50 to 16k QPs.
 
 The fig09 flood grid tops out at a few hundred QPs; real ODP incidents
 (Section VII's deployment anecdotes) involve fabrics with thousands of
@@ -21,32 +21,18 @@ and ``speedup`` is ``wall(object) / wall(coalesce)``.  The ``qps*``
 rows are window-1 floods (``max_rd_atomic=1``, the shape Section VI-B's
 retransmission analysis reasons about); the ``storm*`` rows are the
 fig09 window-16 storm (C_ACK 14), where blind and joint rounds carry
-most of the run.
-
-The ``*_shard`` workloads (and the 64k-QP headline row) run the
-window-1 flood as a **fleet**: ``num_groups`` independent
-client/server QP groups executed through the shard layer
-(:mod:`repro.experiments.shard`) at each listed shard count, always
-with coalescing on.  ``shardsN`` rows must be bit-identical to each
-other (the ``shards1`` row is the in-process reference), and
-``decomposition_speedup`` compares the best shard wall against the same
-run's classic ``coalesce`` wall at equal QP/op counts — the wall-clock
-value of decomposing one big simulator into many small ones (per-op
-cost grows superlinearly with fleet size) plus whatever true
-parallelism the machine offers.
+most of the run.  Both modes of a row simulate the same cell, so
+``speedup`` compares two runs whose outputs are equal (checked).
 
 Run ``python -m repro.bench.scalebench`` from the repo root; it writes
 ``BENCH_scale.json`` (see the README's Performance section).  Use
-``--smoke`` in CI for the 1k-QP classic and fleet rows plus the 50-QP
-storm row, ``--shard-smoke`` for the CI shard gate (4k-QP fleet at 1, 2
-and 4 shards: bit-identity + wall ceiling), ``--shards N`` to measure
-a specific worker count, ``--check BENCH_scale.json`` to fail when a
-freshly measured speedup regresses more than 30% below the committed
-report (speedup ratios are machine-independent; raw wall-clock seconds
-are not) or when any workload breaks bit-identity, and
-``--max-wall SECONDS`` to enforce an absolute wall-clock ceiling on
-each workload's fastest measured accelerated mode (the CI smoke
-gates).
+``--smoke`` in CI for the 1k-QP row and the 50-QP storm row,
+``--check BENCH_scale.json`` to fail when a freshly measured speedup
+regresses more than 30% below the committed report (speedup ratios are
+machine-independent; raw wall-clock seconds are not) or when any
+workload breaks bit-identity, and ``--max-wall SECONDS`` to enforce an
+absolute wall-clock ceiling on each workload's fastest measured
+accelerated mode (the CI smoke gate).
 """
 
 from __future__ import annotations
@@ -72,7 +58,7 @@ _MODES = (
 #: per-packet byte copies) so the measured delta is engine overhead,
 #: not memcpy.
 _FLOOD = dict(size=400, odp=OdpSetup.CLIENT, integrity=False, seed=50)
-#: The window-1 flood of the ``qps*`` and fleet rows.
+#: The window-1 flood of the ``qps*`` rows.
 _WINDOW1 = dict(_FLOOD, interval_us=0.0, max_rd_atomic=1)
 #: The fig09 window-16 storm of the ``storm*`` rows.
 _STORM = dict(_FLOOD, cack=14, min_rnr_timer_ns=round(1.28 * MS))
@@ -94,32 +80,6 @@ _WORKLOADS = {
     "storm256": dict(_STORM, num_qps=256, num_ops=4096, repeats=2),
 }
 _SMOKE = ("qps1k", "storm50")
-
-#: Fleet workloads for the shard layer.  ``num_groups`` independent
-#: 256-QP client/server groups; ``shard_counts`` lists the worker
-#: counts measured (the first is the bit-identity reference —
-#: ``shard_counts[0] == 1`` keeps the in-process path as reference).
-#: ``pair_reference`` names the classic workload whose
-#: ``coalesce`` wall anchors ``decomposition_speedup`` — same
-#: total QPs and ops, one monolithic simulator instead of a fleet.
-#: The 64k headline row has no classic twin: a single-process 64k-QP
-#: object run costs tens of minutes, which is exactly the ceiling the
-#: shard tier removes.
-_SHARD_WORKLOADS = {
-    "qps1k_shard": dict(_WINDOW1, num_qps=1024, num_ops=4096,
-                        num_groups=4, shard_counts=(1, 2), repeats=3,
-                        pair_reference="qps1k"),
-    "qps4k_shard": dict(_WINDOW1, num_qps=4096, num_ops=16384,
-                        num_groups=16, shard_counts=(1, 2, 4), repeats=1,
-                        pair_reference="qps4k"),
-    "qps16k_shard": dict(_WINDOW1, num_qps=16384, num_ops=65536,
-                         num_groups=64, shard_counts=(1, 8), repeats=1,
-                         pair_reference="qps16k"),
-    "qps64k": dict(_WINDOW1, num_qps=65536, num_ops=262144,
-                   num_groups=256, shard_counts=(1, 8), repeats=1,
-                   pair_reference=None),
-}
-
 
 def _metrics(result) -> Dict[str, Any]:
     """Every reported metric — the bit-identity surface.
@@ -175,81 +135,10 @@ def _scale_point(repeats: int, modes=_MODES,
     return point
 
 
-def _shard_point(shard_counts, repeats: int,
-                 **fields: Any) -> Dict[str, Any]:
-    """Wall-clock one fleet point at every shard count.
-
-    Coalescing stays on (each shard keeps its own storm coalescers);
-    the bit-identity comparison runs the full metric surface of every
-    shard count against the first listed count — with
-    ``shard_counts[0] == 1`` that is the in-process single-shard
-    reference the merge contract is stated against.
-    """
-    base = MicrobenchConfig(coalesce=True, **fields)
-    point: Dict[str, Any] = {"num_qps": base.num_qps,
-                             "num_ops": base.num_ops,
-                             "num_groups": base.num_groups}
-    walls: Dict[int, List[float]] = {count: [] for count in shard_counts}
-    surfaces: Dict[int, Dict[str, Any]] = {}
-    for rep in range(repeats):
-        # Same ABBA scheme as _scale_point: no shard count always last.
-        order = shard_counts if rep % 2 == 0 else tuple(
-            reversed(shard_counts))
-        for count in order:
-            cfg = dataclasses.replace(base, shards=count)
-            started = time.perf_counter()
-            result = run_microbench(cfg)
-            walls[count].append(time.perf_counter() - started)
-            surfaces[count] = _metrics(result)
-    reference = surfaces[shard_counts[0]]
-    for count in shard_counts:
-        point[f"shards{count}"] = {
-            "wall_s": round(min(walls[count]), 4),
-            "bit_identical": surfaces[count] == reference,
-        }
-    point["total_packets"] = reference["total_packets"]
-    point["execution_time_ns"] = reference["execution_time_ns"]
-    point["bit_identical"] = all(point[f"shards{count}"]["bit_identical"]
-                                 for count in shard_counts)
-    return point
-
-
-def run_bench(smoke: bool, shard_smoke: bool = False,
-              shards: Optional[int] = None) -> Dict[str, Any]:
-    """Measure the workload grid.
-
-    Full mode: every classic point plus every fleet point.  ``--smoke``:
-    the ``_SMOKE`` classic points and the 1k fleet point (so a smoke
-    ``--check`` vets shard entries of the committed baseline too).
-    ``--shard-smoke``: only the 4k fleet point at 1/2/4 shards — the CI
-    shard gate.  ``shards``, when given, replaces each fleet point's
-    measured counts with ``(1, shards)`` (1 stays so bit-identity is
-    still checked against the in-process reference).
-    """
-    if shard_smoke:
-        classic_names, shard_names = (), ("qps4k_shard",)
-    elif smoke:
-        classic_names, shard_names = _SMOKE, ("qps1k_shard",)
-    else:
-        classic_names = tuple(_WORKLOADS)
-        shard_names = tuple(_SHARD_WORKLOADS)
-    workloads: Dict[str, Any] = {}
-    for name in classic_names:
-        workloads[name] = _scale_point(**_WORKLOADS[name])
-    for name in shard_names:
-        spec = dict(_SHARD_WORKLOADS[name])
-        pair_reference = spec.pop("pair_reference")
-        if shards is not None:
-            spec["shard_counts"] = (1, shards) if shards != 1 else (1,)
-        point = _shard_point(**spec)
-        reference = workloads.get(pair_reference) if pair_reference else None
-        if reference is not None and "coalesce" in reference:
-            best = min(point[f"shards{count}"]["wall_s"]
-                       for count in spec["shard_counts"])
-            point["decomposition_speedup"] = round(
-                reference["coalesce"]["wall_s"] / best, 2)
-        workloads[name] = point
-    return workloads
+def run_bench(smoke: bool) -> Dict[str, Any]:
+    """Measure the workload grid (``--smoke``: the ``_SMOKE`` points)."""
+    names = _SMOKE if smoke else tuple(_WORKLOADS)
+    return {name: _scale_point(**_WORKLOADS[name]) for name in names}
 
 
 def _mode_keys(point: Dict[str, Any]) -> set:
@@ -302,20 +191,17 @@ def check_report(report: Dict[str, Any], committed_path: str,
                 f"workload {name}: mode keys differ from the baseline "
                 f"(missing from this run: {missing_modes or '[]'}; "
                 f"unknown to the baseline: {extra_modes or '[]'})")
-        for key in ("speedup", "decomposition_speedup"):
-            if (key in point) != (key in baseline):
-                side = "this run" if key in baseline else "the baseline"
-                failures.append(f"workload {name}: {key} is missing from "
-                                f"{side} (schema drift?)")
-                continue
-            if key not in baseline:
-                continue
-            floor = baseline[key] * tolerance
-            if point[key] < floor:
+        if ("speedup" in point) != ("speedup" in baseline):
+            side = "this run" if "speedup" in baseline else "the baseline"
+            failures.append(f"workload {name}: speedup is missing from "
+                            f"{side} (schema drift?)")
+        elif "speedup" in baseline:
+            floor = baseline["speedup"] * tolerance
+            if point["speedup"] < floor:
                 failures.append(
-                    f"workload {name}: {key} {point[key]}x is below "
-                    f"{floor:.2f}x ({tolerance:.0%} of committed "
-                    f"{baseline[key]}x)")
+                    f"workload {name}: speedup {point['speedup']}x is "
+                    f"below {floor:.2f}x ({tolerance:.0%} of committed "
+                    f"{baseline['speedup']}x)")
     extra = sorted(set(measured) - set(baseline_workloads))
     if extra:
         print(f"note: workloads not in baseline (unchecked): "
@@ -327,21 +213,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="scalebench",
         description="Benchmark the storm coalescer against the "
-                    "per-packet engine from 50 to 64k QPs and write "
+                    "per-packet engine from 50 to 16k QPs and write "
                     "BENCH_scale.json.")
     parser.add_argument("--smoke", action="store_true",
-                        help="run only the 1k-QP classic and fleet "
-                             "points and the 50-QP storm (CI scale "
-                             "smoke)")
-    parser.add_argument("--shard-smoke", action="store_true",
-                        help="run only the 4k-QP fleet point at 1/2/4 "
-                             "shards (CI shard gate: bit-identity plus "
-                             "--max-wall)")
-    parser.add_argument("--shards", type=int, metavar="N", default=None,
-                        help="measure fleet workloads at N worker "
-                             "processes (plus the 1-shard in-process "
-                             "reference for bit-identity); default: "
-                             "each workload's built-in shard counts")
+                        help="run only the 1k-QP point and the 50-QP "
+                             "storm (CI scale smoke)")
     parser.add_argument("--output", default="BENCH_scale.json",
                         help="output path (default: ./BENCH_scale.json)")
     parser.add_argument("--check", metavar="BASELINE", default=None,
@@ -354,21 +230,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "accelerated-mode wall clock exceeds this "
                              "ceiling")
     args = parser.parse_args(argv)
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
 
-    if args.shard_smoke:
-        mode = "shard-smoke"
-    elif args.smoke:
-        mode = "smoke"
-    else:
-        mode = "full"
     report = {
         "bench": "repro.bench.scalebench",
-        "mode": mode,
+        "mode": "smoke" if args.smoke else "full",
         "python": sys.version.split()[0],
-        "workloads": run_bench(args.smoke, shard_smoke=args.shard_smoke,
-                               shards=args.shards),
+        "workloads": run_bench(args.smoke),
     }
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
@@ -376,9 +243,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(json.dumps(report, indent=2))
     failures: List[str] = []
     for name, point in report["workloads"].items():
-        # Bit-identity is non-negotiable whatever flags ran: a fleet
-        # merge or coalesced mode that diverges from its reference must
-        # fail even without --check.
+        # Bit-identity is non-negotiable whatever flags ran: a
+        # coalesced mode that diverges from its reference must fail
+        # even without --check.
         if not point.get("bit_identical", False):
             failures.append(f"workload {name}: accelerated-mode metrics "
                             "diverge from their reference")

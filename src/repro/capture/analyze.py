@@ -221,57 +221,6 @@ def summarize_capture(source, min_stall_ns: int = 20 * MS,
     )
 
 
-def merge_summaries(summaries: Sequence[CaptureSummary]) -> CaptureSummary:
-    """Fold per-shard capture summaries into one fleet summary, exactly.
-
-    Counts sum, the time span is the union of the per-shard spans, and
-    the opcode mix is rebuilt in sorted key order — so the merged
-    summary is identical whatever order the shards arrive in.  Pitfall
-    reports merge as fleet-level aggregates: shard traffic is disjoint
-    by construction (that is what made sharding sound), so each shard's
-    detector already saw every packet relevant to its QPs — the fleet
-    damming report is the worst per-shard stall, and the fleet flood
-    report sums involved QPs and retransmitted requests across shards
-    while keeping the per-shard maximum PSN repeat count.
-    """
-    if not summaries:
-        return CaptureSummary(total_packets=0, dropped=0, first_ns=0,
-                              last_ns=0, damming=DammingReport(False),
-                              flood=FloodReport(False))
-    spans = [s for s in summaries if s.total_packets]
-    by_opcode: Counter = Counter()
-    for summary in summaries:
-        by_opcode.update(summary.by_opcode)
-    best_damming = DammingReport(False)
-    for summary in summaries:
-        report = summary.damming
-        if report is not None and report.detected \
-                and report.stall_ns > best_damming.stall_ns:
-            best_damming = report
-    floods = [s.flood for s in summaries if s.flood is not None]
-    flood = FloodReport(
-        detected=any(f.detected for f in floods),
-        total_packets=sum(f.total_packets for f in floods),
-        retransmitted_requests=sum(f.retransmitted_requests
-                                   for f in floods),
-        max_psn_repeats=max((f.max_psn_repeats for f in floods),
-                            default=0),
-        qps_involved=sum(f.qps_involved for f in floods),
-    ) if floods else FloodReport(False)
-    return CaptureSummary(
-        total_packets=sum(s.total_packets for s in summaries),
-        dropped=sum(s.dropped for s in summaries),
-        first_ns=min(s.first_ns for s in spans) if spans else 0,
-        last_ns=max(s.last_ns for s in spans) if spans else 0,
-        by_opcode=dict(sorted(by_opcode.items())),
-        retransmissions=sum(s.retransmissions for s in summaries),
-        rnr_naks=sum(s.rnr_naks for s in summaries),
-        seq_naks=sum(s.seq_naks for s in summaries),
-        damming=best_damming,
-        flood=flood,
-    )
-
-
 def packets_per_ms(records: Sequence[CaptureRecord],
                    bucket_ms: float = 1.0) -> List[Tuple[float, int]]:
     """Time series of packet counts (for flood visualisation)."""

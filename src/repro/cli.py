@@ -63,17 +63,13 @@ def _fig08(fast: bool, seed: int, jobs=None) -> str:
     return run_figure8(seed=seed).render()
 
 
-def _fig09(fast: bool, seed: int, jobs=None, opts=None) -> str:
+def _fig09(fast: bool, seed: int, jobs=None) -> str:
     from repro.experiments.fig09_flood import run_figure9
-    num_groups = getattr(opts, "groups", None) or 1
-    shards = getattr(opts, "shards", None)
     if fast:
         result = run_figure9(qps_values=[1, 10, 50, 128], scale=16,
-                             seed=seed, processes=jobs,
-                             num_groups=num_groups, shards=shards)
+                             seed=seed, processes=jobs)
     else:
-        result = run_figure9(scale=4, seed=seed, processes=jobs,
-                             num_groups=num_groups, shards=shards)
+        result = run_figure9(scale=4, seed=seed, processes=jobs)
     return result.render()
 
 
@@ -96,22 +92,9 @@ def _fig12(fast: bool, seed: int, jobs=None) -> str:
                                              processes=jobs))
 
 
-def _tab13(fast: bool, seed: int, jobs=None, opts=None) -> str:
+def _tab13(fast: bool, seed: int, jobs=None) -> str:
     from repro.apps.spark.workloads import SPARK_CELLS
-    from repro.experiments.tab13_spark import run_table13, run_table13_fleet
-    qps = getattr(opts, "qps", None)
-    if qps:
-        # The headline scale row: one cell at fleet QP counts through
-        # run_fleet.  Default fan-out keeps ~640 QPs per group — the
-        # sweet spot BENCH_tab13.json's decomposition rows pin.
-        num_groups = getattr(opts, "groups", None) \
-            or max(1, qps // 640)
-        shards = getattr(opts, "shards", None) or 1
-        fleet = run_table13_fleet(qps=qps, num_groups=num_groups,
-                                  shards=shards, seed=seed)
-        return (fleet.result.render() + "\n"
-                + f"[plan: {fleet.plan.describe()}; "
-                + f"fleet fingerprint {fleet.fingerprint[:16]}]")
+    from repro.experiments.tab13_spark import run_table13
     cells = SPARK_CELLS[:4] if fast else None
     return run_table13(cells=cells, seed=seed, processes=jobs).render()
 
@@ -213,7 +196,6 @@ BENCHES: Dict[str, Tuple[str, ...]] = {
                     "--check", "BENCH_telemetry.json"),
     "scale-smoke": ("scalebench", "--smoke", "--check", "BENCH_scale.json",
                     "--max-wall", "60"),
-    "shard-smoke": ("scalebench", "--shard-smoke", "--max-wall", "90"),
     "tab13-smoke": ("tab13bench", "--smoke", "--check", "BENCH_tab13.json",
                     "--max-wall", "120"),
 }
@@ -298,19 +280,13 @@ def main(argv: List[str] = None) -> int:
                              "experiments (default: all usable cores; "
                              "REPRO_SERIAL=1 forces serial); results "
                              "are bit-identical at any job count")
-    parser.add_argument("--qps", type=int, default=None, metavar="N",
-                        help="with 'tab13': run the headline scale row — "
-                             "one cell at N QPs as a QP-group fleet "
-                             "through run_fleet instead of the classic "
-                             "12-cell table")
     parser.add_argument("--groups", type=int, default=None, metavar="G",
-                        help="QP groups for fleet-mode tab13/fig09 "
-                             "(tab13 default: ~640 QPs per group; fig09 "
-                             "default 1 = classic per-cell definition)")
+                        help="with 'tenants': run G copies of the mix, "
+                             "one shared-RNIC cell each (default 1)")
     parser.add_argument("--shards", type=int, default=None, metavar="S",
-                        help="worker processes per fleet point for "
-                             "fleet-mode tab13/fig09 (results are "
-                             "bit-identical at any shard count)")
+                        help="with 'tenants': worker processes for the "
+                             "copies (results are bit-identical at any "
+                             "shard count)")
     parser.add_argument("--check-all", action="store_true",
                         help="with the 'bench' verb: run every CI "
                              "bench gate and fail on any regression "
@@ -321,6 +297,9 @@ def main(argv: List[str] = None) -> int:
                         help="with 'bench --check-all': directory for "
                              "the fresh reports (default: ./bench_ci)")
     args = parser.parse_args(argv)
+    if args.experiment != "tenants" \
+            and (args.groups is not None or args.shards is not None):
+        parser.error("--groups/--shards apply to 'tenants' only")
 
     if args.experiment == "list":
         for name in EXPERIMENTS:
@@ -343,21 +322,15 @@ def main(argv: List[str] = None) -> int:
     # is created lazily, so serial figures never fork.
     from repro.experiments.runner import sweep_session
 
-    import inspect
-
     with sweep_session(processes=args.jobs):
         for name in names:
             started = time.time()
             print(f"=== {name} ===")
             handler = EXPERIMENTS[name]
-            # Only fleet-aware handlers take the parsed options; the
-            # plain (fast, seed, jobs) signature stays the contract.
-            kwargs = {}
-            try:
-                if "opts" in inspect.signature(handler).parameters:
-                    kwargs["opts"] = args
-            except (TypeError, ValueError):
-                pass
+            # Only the tenants handler takes the parsed options (its
+            # --groups/--shards); the plain (fast, seed, jobs) signature
+            # stays the contract.
+            kwargs = {"opts": args} if handler is _tenants else {}
             print(handler(args.fast, args.seed, args.jobs, **kwargs))
             print(f"--- {name} done in {time.time() - started:.1f}s ---\n")
     return 0

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 from repro.experiments.runner import sweep
-from repro.experiments.shard import run_fleet
 from repro.report import ascii_chart, format_table
 from repro.sim.timebase import MS
 
@@ -106,26 +105,17 @@ class Figure9Result:
 
 
 def _measure_point(point) -> Figure9Point:
-    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe).
-
-    A cell split into several QP groups runs as a fleet through
-    :func:`run_fleet`; inside a pool worker its groups run in-process.
-    """
-    (mode, num_qps, size, num_ops, cack, seed, mitigation,
-     groups, shards) = point
-    config = MicrobenchConfig(
+    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe)."""
+    mode, num_qps, size, num_ops, cack, seed, mitigation = point
+    run = run_microbench(MicrobenchConfig(
         size=size, num_ops=num_ops,
         num_qps=min(num_qps, num_ops),
         odp=mode, cack=cack,
         min_rnr_timer_ns=round(1.28 * MS),
         # The flood sweep moves millions of packets; lazy payloads skip
         # the byte copies without changing any reported metric.
-        integrity=False, mitigation=mitigation, num_groups=groups,
-        seed=point_seed(seed, mode, num_qps))
-    if groups > 1:
-        run = run_fleet(config, shards=shards).result
-    else:
-        run = run_microbench(config)
+        integrity=False, mitigation=mitigation,
+        seed=point_seed(seed, mode, num_qps)))
     return Figure9Point(
         num_qps=num_qps,
         execution_s=run.execution_time_s,
@@ -134,24 +124,11 @@ def _measure_point(point) -> Figure9Point:
         blind_retransmits=run.blind_retransmit_rounds)
 
 
-def effective_groups(requested: int, num_qps: int, num_ops: int) -> int:
-    """The largest usable group count for one grid cell: at most
-    ``requested``, and dividing both the cell's QPs and ops so every
-    group is the same shape (the fleet split's divisibility contract).
-    A cell too small to split runs as a plain point (1)."""
-    for groups in range(min(max(1, requested), num_qps), 0, -1):
-        if num_qps % groups == 0 and num_ops % groups == 0:
-            return groups
-    return 1
-
-
 def run_figure9(qps_values: Optional[List[int]] = None,
                 modes: Optional[List[OdpSetup]] = None,
                 scale: int = 4, seed: int = 0,
                 cack: Optional[int] = None,
                 processes: Optional[int] = None,
-                num_groups: int = 1,
-                shards: Optional[int] = None,
                 mitigation: str = "none") -> Figure9Result:
     """Sweep QP count x ODP mode.  ``scale`` divides the op count.
 
@@ -167,21 +144,8 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     so results are bit-identical to a serial run for any value).
 
     ``mitigation`` names a countermeasure strategy from
-    :mod:`repro.mitigate`; it rides the point/fleet configs like any
-    other grid axis (``"none"`` is bit-identical to omitting it).
-
-    ``num_groups > 1`` additionally *shards* each cell big enough to
-    split: the cell becomes a QP-group fleet (largest group count <=
-    ``num_groups`` that divides its QPs and ops).  A serial sweep runs
-    it across ``shards`` worker processes; a pooled sweep runs its
-    groups in the cell's own worker.  A fleet cell is a different
-    machine, not a different seed: each group is its own client/server
-    RNIC pair, so splitting the cell also splits the page-status-engine
-    contention that produces the flood (``num_groups=2`` cuts the
-    client-ODP flood about 5x at 50 and 128 QPs).  Fleet numbers are
-    bit-identical for any shard count or pool width (tested), but not
-    comparable to the ``num_groups=1`` monolithic cells.  The default
-    keeps the classic definition.
+    :mod:`repro.mitigate`; it rides the point configs like any other
+    grid axis (``"none"`` is bit-identical to omitting it).
     """
     qps_list = qps_values if qps_values is not None else \
         [1, 5, 10, 25, 50, 100, 200]
@@ -197,11 +161,9 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     weights = []
     for mode in mode_list:
         for num_qps in qps_list:
-            eff_qps = min(num_qps, num_ops)
-            groups = effective_groups(num_groups, eff_qps, num_ops)
             grid.append((mode, num_qps, size, num_ops, cack, seed,
-                         mitigation, groups, shards))
-            weights.append(eff_qps)
+                         mitigation))
+            weights.append(min(num_qps, num_ops))
     points = sweep(_measure_point, grid, processes=processes,
                    weights=weights)
     result = Figure9Result(num_ops=num_ops)

@@ -17,13 +17,14 @@ Environment knobs:
 
 Workers must be module-level functions and points picklable tuples —
 ``ProcessPoolExecutor`` ships both to the pool.  Nested sweeps (a sweep
-inside a worker) automatically degrade to serial, so a fleet point
-runs its QP groups in its own worker instead of forking a pool there.
-Sweeps also stay serial while a :attr:`Cluster.instrument` hook is
-armed, because pool workers would not inherit it.
+inside a worker) automatically degrade to serial, so a point that runs
+a fleet (:func:`repro.experiments.shard.run_fleet`) runs its QP groups
+in its own worker instead of forking a pool there.  Sweeps also stay
+serial while a :attr:`Cluster.instrument` hook is armed, because pool
+workers would not inherit it.
 
-Entry points that run several sweeps back to back (the figure CLIs, the
-shard benchmarks) wrap them in :func:`sweep_session` so one worker pool
+The CLI runs several sweeps back to back (fig09's mode grid, tab13's
+cells, ``all``) inside one :func:`sweep_session`, so one worker pool
 is spawned once and reused — results are bit-identical either way.
 """
 
@@ -125,7 +126,7 @@ def sweep_session(processes: Optional[int] = None
                   ) -> Iterator[_SweepSession]:
     """Reuse one worker pool across every :func:`sweep` in the block.
 
-    Figure CLIs and shard benchmarks run several sweeps back to back;
+    Figure CLIs run several sweeps back to back;
     without a session each pays pool spawn plus a fresh interpreter
     import per worker.  Inside a session the first parallel sweep forks
     the pool and later sweeps reuse it.  Results are bit-identical with

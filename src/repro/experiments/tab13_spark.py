@@ -74,16 +74,19 @@ def run_table13_fleet(qps: int = 10240, num_groups: int = 16,
                       workload: str = "SparkTC",
                       system: str = "Reedbush-H (2)",
                       scale: int = 1):
-    """The headline scale row: one Table 13 cell at fleet QP counts.
+    """One Table 13 cell's traffic shape as a fleet of QP groups.
 
-    ``python -m repro tab13 --qps 10240 --shards N`` lands here: the
-    cell's traffic shape re-expressed as ``num_groups`` hermetic QP
-    groups run through :func:`repro.experiments.shard.run_fleet` —
-    bit-identical for every shard count under the shard merge contract
-    (counters, completions, fingerprints, execution time = critical
-    path).  Returns the merged
-    :class:`repro.experiments.shard.FleetResult` whose ``result`` is a
-    :class:`repro.apps.spark.fleet.SparkFleetResult`.
+    The cell is re-expressed as ``num_groups`` hermetic QP groups, each
+    its own client/server RNIC pair, run through
+    :func:`repro.experiments.shard.run_fleet` — bit-identical for every
+    shard count under the shard merge contract (counters, completions,
+    fingerprints, execution time = critical path).  The groups split
+    the flood's page-status-engine contention, so the fleet models a
+    different machine from :func:`run_table13`'s cell: SparkTC on
+    Reedbush-H reads ratio 5.83 as one 1280-QP cell and 2.33 as four
+    groups.  Perfbench's spark-fleet workload calls it.  Returns the
+    merged :class:`repro.experiments.shard.FleetResult` whose
+    ``result`` is a :class:`repro.apps.spark.fleet.SparkFleetResult`.
     """
     from repro.apps.spark.fleet import SparkFleetConfig
     from repro.experiments.shard import run_fleet

@@ -19,13 +19,11 @@ for every ``--shards`` value and any ``REPRO_JOBS`` (tested).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.experiments.shard import (
-    COLLECT_CAPTURE,
     COLLECT_COUNTERS,
-    COLLECT_RECORDS,
     FleetWorkload,
     GroupResult,
     GroupSpec,
@@ -59,7 +57,6 @@ class TenantFleetConfig:
     shards: int = 1
     device: str = "ConnectX-4"
     post_overhead_ns: int = 300
-    telemetry: Any = field(default=None, compare=False, repr=False)
 
     # set below; a class attribute, not a dataclass field, so
     # replace()/pickle round-trips leave it alone
@@ -120,8 +117,7 @@ def _relabel_cell(cell: CellResult, lid_map: Dict[int, int]) -> CellResult:
 
 
 def _run_tenant_group(spec: GroupSpec, base_config: TenantFleetConfig,
-                      collect: FrozenSet[str], telemetry=None
-                      ) -> GroupResult:
+                      collect: FrozenSet[str]) -> GroupResult:
     """Run one cell and bundle its partials, LIDs globalised.
 
     The cell attaches its own telemetry session internally (episodes
@@ -129,9 +125,6 @@ def _run_tenant_group(spec: GroupSpec, base_config: TenantFleetConfig,
     fleet path needs no session of its own — which is also why it
     shards cleanly: nothing observational crosses the process boundary.
     """
-    if collect & {COLLECT_CAPTURE, COLLECT_RECORDS}:
-        raise ValueError("the tenants fleet workload has no capture "
-                         "surface; collect counters/fingerprint instead")
     cell_config = ServiceCellConfig(
         tenants=base_config.cell_tenants(spec.index), seed=spec.seed,
         device=base_config.device,

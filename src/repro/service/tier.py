@@ -207,12 +207,8 @@ class ServiceCell:
         telemetry.attach(cluster)
         sim = cluster.sim
         client_node, server_node = cluster.nodes
-        for node in cluster.nodes:
-            # The per-packet path: the storm coalescer's closed forms
-            # model one workload's rounds, and cross-tenant link
-            # occupancy is precisely the effect this tier measures.
-            node.rnic.coalesce = False
-            if not config.integrity:
+        if not config.integrity:
+            for node in cluster.nodes:
                 node.rnic.lazy_payloads = True
 
         client_ctx = client_node.open_device()

@@ -129,8 +129,9 @@ def telemetry_session(telemetry: Optional[Telemetry] = None,
 
     Chains (never clobbers) any :attr:`Cluster.instrument` hook already
     installed, and restores it on exit.  Pool workers do not inherit
-    the hook, so ``runner.sweep`` and ``shard.run_fleet`` run serially
-    in this process while it is armed, and every cluster is observed.
+    the hook, so while it is armed ``runner.sweep`` runs serially and
+    ``shard.run_fleet`` plans one in-process shard: every cluster, each
+    fleet group's included, is observed.
     """
     tel = telemetry if telemetry is not None else Telemetry(capacity)
     previous = Cluster.instrument

@@ -3,17 +3,16 @@ against the un-knobbed build, fast-path decline semantics, pitfall
 efficacy judged by ``telemetry.diagnose``, the full strategy grid
 (scenario set, a mitigator per scenario plain and under chaos, a clean
 invariant monitor in every cell), eviction-storm robustness of
-dynamic-pin, and sweep/shard pass-through of the ``mitigation`` knob.
+dynamic-pin, and sweep pass-through of the ``mitigation`` knob.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
+from repro.bench.microbench import OdpSetup, run_microbench
 from repro.chaos import ChaosEngine, ChaosPlan, FaultKind, FaultWindow
 from repro.experiments.fig09_flood import run_figure9
-from repro.experiments.shard import run_fleet
 from repro.ib.validate import InvariantMonitor
 from repro.mitigate import STRATEGIES, get_strategy, resolve_strategy
 from repro.mitigate.compare import run_cell, run_compare, scenarios
@@ -244,8 +243,8 @@ class TestDynamicPinUnderStorm:
 
 
 class TestSweepShardPassThrough:
-    """The ``mitigation`` knob must shard and sweep like any other grid
-    axis: bit-identical results at any jobs/shards split."""
+    """The ``mitigation`` knob must sweep like any other grid axis:
+    bit-identical results at any jobs split."""
 
     def test_fig09_sweep_bit_identical_across_jobs(self):
         kwargs = dict(qps_values=[1, 4], modes=[OdpSetup.CLIENT],
@@ -260,27 +259,3 @@ class TestSweepShardPassThrough:
                       scale=128, seed=3)
         assert run_figure9(**kwargs).curves == \
             run_figure9(mitigation="none", **kwargs).curves
-
-    def _fleet_config(self, mitigation, shards):
-        return MicrobenchConfig(
-            size=400, num_ops=64, num_qps=16, interval_us=0.0,
-            odp=OdpSetup.CLIENT, integrity=False, seed=50,
-            max_rd_atomic=1, coalesce=True,
-            num_groups=2, shards=shards, mitigation=mitigation)
-
-    @pytest.mark.parametrize("mitigation", ["dynamic-pin",
-                                            "selective-retransmit"])
-    def test_fleet_bit_identical_at_any_shard_split(self, mitigation):
-        single = run_fleet(self._fleet_config(mitigation, shards=1))
-        split = run_fleet(self._fleet_config(mitigation, shards=2))
-        assert _surface(single.result) == _surface(split.result)
-        assert single.result.mitigation_fallbacks == \
-            split.result.mitigation_fallbacks
-
-    def test_fleet_merge_sums_fallback_tallies(self):
-        fleet = run_fleet(self._fleet_config("selective-retransmit",
-                                             shards=2))
-        # every coalescer round of both groups declines with the
-        # tallied reason
-        assert set(fleet.result.mitigation_fallbacks) == {"coalesce"}
-        assert fleet.result.mitigation_fallbacks["coalesce"] > 0

@@ -1,10 +1,9 @@
 """Parallel sweeps must be invisible: same rows, bit for bit, at any
-process count, pool width, weights or mix of plain and grouped fleet
-points — determinism survives the pool because every point owns its
-``Simulator(seed)``.  Only wall-clock may move.
+process count, pool width or weights — determinism survives the pool
+because every point owns its ``Simulator(seed)``.  Only wall-clock may
+move.
 """
 
-import dataclasses
 import os
 
 import pytest
@@ -17,6 +16,8 @@ from repro.experiments.runner import default_jobs, sweep, sweep_session
 from repro.experiments.shard import run_fleet
 from repro.telemetry import telemetry_session
 
+from tests.test_service import small_mix
+
 
 def _square(point):
     return point * point
@@ -24,30 +25,6 @@ def _square(point):
 
 def _tagged(point):
     return (os.getpid(), point)
-
-
-def _fleet_config(**overrides):
-    """A small grouped flood fleet (fig09-shaped)."""
-    base = dict(size=400, num_ops=128, num_qps=32, interval_us=0.0,
-                odp=OdpSetup.CLIENT, integrity=False, seed=50,
-                max_rd_atomic=1, coalesce=True, num_groups=2)
-    base.update(overrides)
-    return MicrobenchConfig(**base)
-
-
-def _metrics(result):
-    d = dataclasses.asdict(result)
-    d.pop("config")
-    d.pop("coalesced_rounds")
-    d.pop("events_coalesced")
-    return d
-
-
-def _mixed_point(point):
-    """A plain point squares an int; a config point runs its fleet."""
-    if isinstance(point, int):
-        return point * point
-    return _metrics(run_fleet(point).result)
 
 
 class TestSweepRunner:
@@ -65,6 +42,16 @@ class TestSweepRunner:
     def test_repro_serial_env_forces_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERIAL", "1")
         tags = sweep(_tagged, list(range(4)), processes=4)
+        assert all(pid == os.getpid() for pid, _point in tags)
+
+    def test_repro_serial_env_forces_serial_weighted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERIAL", "1")
+        with sweep_session() as session:
+            tags = sweep(_tagged, list(range(4)), processes=4,
+                         weights=[0, 3, 1, 2])
+            assert session.pool is None
+            assert session.pooled_sweeps == 0
+        assert [point for _pid, point in tags] == list(range(4))
         assert all(pid == os.getpid() for pid, _point in tags)
 
     def test_repro_jobs_env_sets_default(self, monkeypatch):
@@ -87,6 +74,12 @@ class TestSweepRunner:
 
     def test_empty_points(self):
         assert sweep(_square, [], processes=4) == []
+
+    def test_empty_weighted_schedule(self):
+        assert sweep(_square, [], processes=4, weights=[]) == []
+        with sweep_session() as session:
+            assert sweep(_square, [], processes=4) == []
+            assert session.pool is None
 
 
 class TestSweepSession:
@@ -166,34 +159,6 @@ class TestSweepSession:
             [c.points for c in again.curves]
 
 
-class TestFigureWiring:
-    """The figure entry points run on the weighted sweep; their outputs
-    must not depend on placement."""
-
-    def test_fig09_grouped_invariant_across_placement(self):
-        # A grouped fig09 point is *defined* over per-group RNG streams
-        # (a different, equally valid fleet definition — not the
-        # monolithic classic run), so what must hold is placement
-        # invariance: serial, pooled, and sharded all render the same.
-        # The 1-QP cell cannot split, so plain and fleet points mix.
-        kwargs = dict(qps_values=[1, 4, 8], modes=[OdpSetup.CLIENT],
-                      scale=128, seed=3, num_groups=2)
-        serial = run_figure9(processes=1, **kwargs)
-        assert list(serial.curves) == [OdpSetup.CLIENT]
-        pooled = run_figure9(processes=4, **kwargs)
-        pooled_sharded = run_figure9(processes=4, shards=2, **kwargs)
-        serial_sharded = run_figure9(processes=1, shards=2, **kwargs)
-        assert serial.render() == pooled.render() \
-            == pooled_sharded.render() == serial_sharded.render()
-
-    def test_fig09_effective_groups_divisor_fallback(self):
-        from repro.experiments.fig09_flood import effective_groups
-        assert effective_groups(4, 64, 256) == 4
-        assert effective_groups(4, 6, 256) == 2   # largest common divisor
-        assert effective_groups(3, 5, 7) == 1     # nothing divides: classic
-        assert effective_groups(1, 64, 256) == 1
-
-
 class TestParallelEqualsSerial:
     """The ISSUE acceptance gate: reduced fig02/fig09 sweeps, 4 worker
     processes versus serial, asserting *identical* result rows."""
@@ -250,18 +215,6 @@ class TestWeights:
             == sweep(_square, points, processes=3, weights=weights) \
             == sweep(_square, points, processes=3) == expected
 
-    def test_mixed_points_and_fleet_bit_identical(self):
-        cfg = _fleet_config()
-        points = [3, cfg, 7]
-        weights = [1.0, 8.0, 1.0]
-        serial = sweep(_mixed_point, points, processes=1, weights=weights)
-        pooled = sweep(_mixed_point, points, processes=3, weights=weights)
-        assert serial[0] == pooled[0] == 9
-        assert serial[2] == pooled[2] == 49
-        assert serial[1] == pooled[1]
-        # And both equal the fleet run outside any sweep.
-        assert pooled[1] == _metrics(run_microbench(cfg))
-
     def test_weighted_sweep_inside_session(self):
         points = list(range(9))
         weights = list(reversed(points))
@@ -280,11 +233,11 @@ def _microbench_point(seed):
 
 
 def _fleet_point(seed):
-    """A two-group flood fleet: two group clusters per point."""
-    fleet = run_fleet(MicrobenchConfig(
-        size=400, num_ops=64, num_qps=16, interval_us=0.0,
-        odp=OdpSetup.CLIENT, integrity=False, seed=seed,
-        max_rd_atomic=1, num_groups=2), shards=2)
+    """A two-cell tenants fleet: two group clusters per point."""
+    from repro.service.fleet import TenantFleetConfig
+    from repro.service.interference import scale_mix
+    fleet = run_fleet(TenantFleetConfig(tenants=scale_mix(small_mix(), 2),
+                                        seed=seed, num_groups=2), shards=2)
     return fleet.result.total_packets
 
 

@@ -75,6 +75,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("argv", [["fig09", "--groups", "2"],
+                                      ["tab13", "--shards", "2"],
+                                      ["all", "--groups", "2"]])
+    def test_fleet_flags_only_for_tenants(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "'tenants' only" in capsys.readouterr().err
+
     def test_all_experiments_registered(self):
         expected = {"tables", "fig01", "fig02", "fig04", "fig05", "fig06",
                     "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",

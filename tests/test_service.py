@@ -240,6 +240,22 @@ class TestInterferenceMatrix:
                          "e4e43b2b7e30c4d16fe82d3c",
         }
 
+    def test_cell_runs_the_storm_coalescer(self, report):
+        # The cell keeps the device's coalescing default: every run
+        # offers the coalescer rounds (absorbed or declined), and the
+        # unmitigated flood has rounds it absorbs.
+        def tally(run, names):
+            return sum(value for (_scope, name), value
+                       in report.runs[run].counters
+                       if name in names)
+
+        tallies = ("exec.coalesce.blind_rounds",
+                   "exec.coalesce.joint_rounds",
+                   "exec.coalesce.declined_rounds")
+        for run in report.runs:
+            assert tally(run, tallies) > 0, run
+        assert tally("none", tallies[:2]) > 0
+
     def test_victims_degrade_under_sharing(self, report):
         for victim in report.victims:
             assert report.degradation(victim) > 1.0, victim
