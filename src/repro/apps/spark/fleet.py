@@ -43,7 +43,6 @@ from repro.experiments.shard import (
     GroupResult,
     GroupSpec,
     ShardPlanError,
-    _ordered,
     group_specs,
     merge_completions,
 )
@@ -240,9 +239,9 @@ def merge_spark(config: SparkFleetConfig,
     the slowest group's (critical path); packets and timeouts sum;
     completions k-way merge by ``(completion time, group, arrival
     order)`` — the shard merge contract's ordering key.
+    ``group_results`` arrive in group order.
     """
-    ordered = _ordered(group_results)
-    runs = [group.result for group in ordered]
+    runs = [group.result for group in group_results]
     return SparkFleetResult(
         workload=config.workload,
         system=config.system,
@@ -253,7 +252,7 @@ def merge_spark(config: SparkFleetConfig,
         enable_timeouts=sum(run.enable_timeouts for run in runs),
         enable_packets=sum(run.enable_packets for run in runs),
         disable_packets=sum(run.disable_packets for run in runs),
-        completions=merge_completions(ordered),
+        completions=merge_completions(group_results),
     )
 
 

@@ -97,8 +97,8 @@ class MicrobenchConfig:
     post_overhead_ns: int = 300
     #: Steady-state storm coalescing, the one fast-path knob:
     #: fast-forward provably-periodic retransmission rounds as
-    #: macro-events (blind and joint rounds, plus fleet sweeps of whole
-    #: tick horizons when ``integrity`` is off).  Exact by construction
+    #: macro-events (blind rounds, memoised when ``integrity`` is off,
+    #: and joint multi-QP rounds).  Exact by construction
     #: — every reported metric is bit-identical with it off, which is
     #: the per-packet reference path — so it defaults on; it
     #: self-disables per QP pair whenever a raw packet tap (one without

@@ -5,10 +5,9 @@ The fig09 flood grid tops out at a few hundred QPs; real ODP incidents
 stale QPs storming at once.  At that scale the per-packet engine spends
 its time replaying identical retransmission rounds one heap event per
 hop.  The storm coalescer (:mod:`repro.ib.transport.coalesce`) applies
-those rounds in closed form — single-QP and joint rounds, and fleet
-sweeps of whole tick horizons through the fabric's bulk-delivery
-surfaces (``Link.bulk_occupy``, ``Switch.bulk_forward``,
-``Network.bulk_book``) — under an *exact or decline* contract: every
+those rounds in closed form — single-QP blind rounds and joint
+multi-QP rounds, booked on the links through ``LinkEnd.bulk_occupy`` —
+under an *exact or decline* contract: every
 reported metric stays bit-identical to the per-packet path, enforced
 here on every workload.
 

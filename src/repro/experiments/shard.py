@@ -350,23 +350,25 @@ def merge_fleet(config, group_results: Sequence[GroupResult],
     The workload merges its own result type; counters and fingerprints
     merge identically for every workload.  Shared by :func:`run_fleet`
     and the perfbench shard accounting, which collects the same
-    :class:`GroupResult` s through its own pool.
+    :class:`GroupResult` s through its own pool.  ``groups`` lists the
+    partials in group order, whatever order the shards returned them.
     """
     collect_set = _check_collect(collect)
     if workload is None:
         workload = config.fleet_workload
-    merged = workload.merge(config, group_results)
+    ordered = _ordered(group_results)
+    merged = workload.merge(config, ordered)
     counters = None
     if COLLECT_COUNTERS in collect_set:
         from repro.telemetry.counters import merge_counter_items
-        counters = merge_counter_items(
-            group.counters or () for group in _ordered(group_results))
+        counters = merge_counter_items(group.counters or ()
+                                       for group in ordered)
     fingerprint = None
     if COLLECT_FINGERPRINT in collect_set:
         fingerprint = fleet_fingerprint(
-            [group.fingerprint for group in _ordered(group_results)])
+            [group.fingerprint for group in ordered])
     return FleetResult(result=merged, plan=plan, counters=counters,
-                       fingerprint=fingerprint, groups=list(group_results))
+                       fingerprint=fingerprint, groups=ordered)
 
 
 def shard_args(groups: Sequence[GroupSpec], plan: ShardPlan, config,

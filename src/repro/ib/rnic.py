@@ -50,8 +50,8 @@ class Rnic:
         #: Steady-state storm coalescing, the one fast-path knob: allow
         #: this device's QPs to fast-forward provably-periodic
         #: retransmission rounds as macro-events — single-QP blind
-        #: rounds, joint multi-QP rounds and fleet sweeps (both ends
-        #: must allow it).  Exact by construction — a round
+        #: rounds and joint multi-QP rounds (both ends must allow
+        #: it).  Exact by construction — a round
         #: is synthesised only when every one of its packets takes a
         #: known path and nothing can interleave — so metrics are
         #: bit-identical either way.

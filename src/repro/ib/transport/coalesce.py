@@ -50,19 +50,17 @@ falls back to the full derivation.  This is what makes a coalesced
 round an order of magnitude cheaper than its per-packet replay rather
 than merely cheaper.
 
-``RNIC.coalesce`` is the one switch for every tier: single-QP blind
-rounds (memoised after the first), joint multi-QP rounds and fleet
-sweeps (:meth:`StormCoalescer.maybe_fleet`), which absorb a whole
-horizon of sibling blind ticks in one batched flush when payloads are
-lazy and no observer watches the pair.  Off, every round takes the
-per-packet reference path.  Server-side RNR recovery rounds (Figure 1,
+``RNIC.coalesce`` is the one switch for both tiers: single-QP blind
+rounds (memoised after the first) and joint multi-QP rounds.  Off,
+every round takes the per-packet reference path.  Neither tier reads
+the telemetry tracer, so a traced run takes the same path as an
+untraced one.  Server-side RNR recovery rounds (Figure 1,
 left) always replay per packet: each waits out an RNR delay, so they
 are rare next to blind rounds and keep no closed form.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -72,7 +70,6 @@ from repro.ib.packets import (BASE_HEADER_BYTES, RETH_BYTES,
 from repro.ib.transport.psn import psn_add, psn_diff
 from repro.ib.transport.responder import Responder
 from repro.ib.verbs.enums import Access, QpState
-from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ib.verbs.qp import QueuePair
@@ -116,7 +113,7 @@ class _BlindRound:
                  "head_mr", "head_addr", "head_chunk", "count",
                  "responses", "req_bytes", "resp_bytes", "rel_span",
                  "rel_interact", "rel_busy", "rel_flaw_until", "rel_rows",
-                 "events", "wqe_chunks", "shape_key")
+                 "events", "wqe_chunks")
 
 
 class _JointMember:
@@ -162,15 +159,6 @@ class StormCoalescer:
         #: Jointly synthesised rounds this QP *initiated* (its tick
         #: computed and applied the merged cascade).
         self.joint_rounds = 0
-        #: Future blind ticks this QP's fleet sweeps absorbed (their
-        #: rounds applied and their timers retired ahead of time).
-        #: Bookkeeping, like ``joint_rounds``: execution-shape detail,
-        #: not a reported metric.
-        self.fleet_rounds = 0
-        #: Set when this QP's own tick just replayed its memo with the
-        #: links idle — the precondition for :meth:`maybe_fleet` to
-        #: sweep the upcoming horizon.
-        self._fleet_ready = False
         #: Set by another QP's joint synthesis that already applied this
         #: QP's next round: the tick time whose firing is pre-paid.  The
         #: tick still fires so its re-arm RNG draw lands in real order.
@@ -338,8 +326,7 @@ class StormCoalescer:
         floor = getattr(profile, "status_resume_ns", None)
         return floor is not None and event.time + floor > span_end
 
-    def _span_clear(self, interact_end: int, span_end: int,
-                    ignore=None) -> bool:
+    def _span_clear(self, interact_end: int, span_end: int) -> bool:
         """True when nothing that fires inside the round's span can
         interact with it.
 
@@ -362,10 +349,6 @@ class StormCoalescer:
         after ``interact_end`` (see :meth:`_complete_tolerable`).
         Anything else inside the span (driver completions, in-flight
         packet hops) declines the round.
-
-        ``ignore`` skips one still-pending event: the fleet
-        fast-forward vets a member round *before* retiring the member's
-        own tick event, which would otherwise trip its own span walk.
         """
         sim = self.sim
         if sim.quiet_until(span_end):
@@ -375,8 +358,6 @@ class StormCoalescer:
         req = qp.requester
         member_qpns = (qp.qpn, qp.remote_qpn)
         for event in sim.live_events_until(span_end):
-            if event is ignore:
-                continue
             fn = event.fn
             name = getattr(fn, "__name__", None)
             if (name == "_blind_retransmit" and event.time > interact_end
@@ -402,7 +383,6 @@ class StormCoalescer:
         the whole window of READs replays as duplicates at the responder,
         every response is discarded at the stale client.  Returns True
         when the round was applied in closed form."""
-        self._fleet_ready = False
         m = self.qp.mitigation
         if m is not None and not m.coalesce_compatible:
             # The strategy rewrites the burst the closed form replays
@@ -443,27 +423,13 @@ class StormCoalescer:
         if cache is not None:
             applied = self._blind_fast(peer, emit, cache)
             if applied is not None:
-                self._fleet_ready = applied is True
                 return applied
-        applied = self._blind_slow(peer, list(emit), head)
-        self._fleet_ready = applied and self._blind_cache is not None
-        return applied
+        return self._blind_slow(peer, list(emit), head)
 
-    def _blind_fast(self, peer, emit, c: _BlindRound, t: Optional[int] = None,
-                    fleet_event=None) -> Optional[bool]:
+    def _blind_fast(self, peer, emit, c: _BlindRound) -> Optional[bool]:
         """Replay the memoised round.  Returns True (applied), False
         (eligible memo but the round declined — already tallied), or
-        None (memo stale: fall through to the full derivation).
-
-        The fleet fast-forward replays *future* ticks from the batch's
-        own instant: ``t`` overrides the tick time (every timestamp in
-        the memo is tick-relative, so the apply is exact at any proven
-        tick), and ``fleet_event`` is the member's still-pending tick
-        event, excluded from the span walk.  In fleet mode every
-        fallback — joint synthesis, decline tallies — returns None
-        instead: the member's real tick stays armed and handles its own
-        round, so no bookkeeping is double-counted.
-        """
+        None (memo stale: fall through to the full derivation)."""
         network, peer_rnic, peer_qp = peer
         # The memo is only t-independent in lazy-payload mode (no VM
         # residency to re-prove) and for this exact peer.
@@ -499,8 +465,7 @@ class StormCoalescer:
         qp = self.qp
         rnic = qp.rnic
         sim = self.sim
-        if t is None:
-            t = sim.now
+        t = sim.now
         up_a, down_b, up_b, down_a = self._storm_links(network, peer_rnic)
         if (up_a._busy_until > t or down_b._busy_until > t  # noqa: SLF001
                 or up_b._busy_until > t
@@ -510,17 +475,14 @@ class StormCoalescer:
         interact_end = t + c.rel_interact
         next_transition = rnic.odp.next_transition_at()
         if next_transition is not None and next_transition <= interact_end:
-            return None if fleet_event is not None \
-                else self._decline("page_transition")
-        if not self._span_clear(interact_end, span_end, ignore=fleet_event):
-            return None if fleet_event is not None \
-                else self._blind_joint(peer)
+            return self._decline("page_transition")
+        if not self._span_clear(interact_end, span_end):
+            return self._blind_joint(peer)
         # Same query, same key as the real discard path — memoisation
         # counters advance identically; a ready page ends the storm.
         if rnic.odp.requester_range_ready(qp.qpn, c.head_mr, c.head_addr,
                                           c.head_chunk):
-            return None if fleet_event is not None \
-                else self._decline("client_ready")
+            return self._decline("client_ready")
 
         # --- Apply from the memo ---
         req = qp.requester
@@ -753,12 +715,6 @@ class StormCoalescer:
                                           chunk_sizes, resp_drains)
             c.rel_rows = tuple((row[0] - t,) + row[1:] for row in rows)
             c.events = events
-            # The tick-relative template a fleet sweep must hold constant
-            # across members, precomputed (memos are immutable once
-            # built) so the sweep compares one tuple per member.
-            c.shape_key = (c.count, c.responses, c.req_bytes, c.resp_bytes,
-                           c.rel_span, c.rel_interact, c.rel_busy,
-                           c.rel_flaw_until, c.events)
             self._blind_cache = c
         return True
 
@@ -796,277 +752,6 @@ class StormCoalescer:
         rows.extend(request_rows[i:])
         rows.extend(response_rows[j:])
         return rows
-
-    # ------------------------------------------------------------------
-    # Fleet fast-forward: batched delivery of whole tick horizons
-    # ------------------------------------------------------------------
-
-    def maybe_fleet(self) -> None:
-        """Absorb every provably-steady blind tick in the upcoming
-        horizon, in exact firing order, as one batched-delivery sweep.
-
-        Runs at the tail of a tick whose own round just replayed its
-        memo (``_fleet_ready``).  The engine's ready-event batch for the
-        horizon is walked in ``(time, seq)`` order — the exact order the
-        run loop would fire it.  Each member tick is vetted with the
-        same checks its own firing would perform (memo match, head
-        still waiting, page-status pre-filter, span clearance, range
-        readiness — via :meth:`_blind_fast` with the member's tick time)
-        and, when they all hold, its round is applied through the
-        fabric's closed-form bulk path, its timer retired, and its
-        re-arm drawn and scheduled from here.
-
-        Soundness rests on the quiet-window argument: between this tick
-        and the first non-absorbed event, only absorbed member ticks and
-        provably inert timers fire, so no foreign event is *created* in
-        the window either — re-arms drawn at the batch instant take the
-        very sequence numbers the real ticks would have drawn, RNG draws
-        stay in real order (member order is firing order, and the stale
-        count every period derives from is frozen), and every
-        same-timestamp tie downstream resolves identically.  The first
-        event that fails any check ends the sweep; everything from it on
-        fires for real.  Observers force per-packet delivery through
-        :meth:`Network.fleet_allowed` (chaos, taps, loss rules) and
-        per-member gates (telemetry, ``requires_real`` via
-        ``_peer``), matching the PR 3 fallback contract.
-        """
-        if not self._fleet_ready:
-            return
-        self._fleet_ready = False
-        qp = self.qp
-        rnic = qp.rnic
-        if not rnic.coalesce or rnic.telemetry is not None:
-            return
-        network = rnic.network
-        remote_lid = qp.remote_lid
-        peer_rnic = network.devices.get(remote_lid)
-        if peer_rnic is None or not peer_rnic.lazy_payloads \
-                or not getattr(peer_rnic, "coalesce", False) \
-                or not network.fleet_allowed(rnic.lid, remote_lid):
-            return
-        STATE_NORMAL, STATE_ODP_WAIT = _requester_states()
-        sim = self.sim
-        profile = rnic.profile
-        base = max(profile.odp_client_retransmit_ns,
-                   rnic.odp.stale_qp_count()
-                   * profile.odp_retransmit_per_qp_ns)
-        # One full blind period plus the jitter ceiling covers every
-        # stale QP's pending tick — but a status-engine transition ends
-        # any sweep (its completion resumes a page and the storm's
-        # steady state with it), so cap the horizon just short of the
-        # next one on either device: the walk then only covers events
-        # with a chance of absorbing.
-        horizon = sim.now + base + base // 8
-        next_transition = rnic.odp.next_transition_at()
-        if next_transition is not None and next_transition <= horizon:
-            horizon = next_transition - 1
-        next_transition = peer_rnic.odp.next_transition_at()
-        if next_transition is not None and next_transition <= horizon:
-            horizon = next_transition - 1
-        if horizon <= sim.now:
-            return
-        # Pre-classify the horizon's ready batch: collect the blind
-        # ticks, skip provably inert fault-raise timers (they stay
-        # pending and fire later as no-ops; requester states are frozen
-        # in the window, so the verdict here is the verdict at firing),
-        # and let the first *hard* event cap absorption strictly before
-        # its instant.  After this walk the window up to ``limit`` is
-        # proven to hold nothing but the collected ticks, so each
-        # member's span walk collapses to two integer comparisons (span
-        # within the limit, next tick past the interact end).
-        worklist: List[Tuple[int, int, object]] = []
-        limit = horizon
-        for event in sim.ready_batch(horizon):
-            fn = event.fn
-            name = getattr(fn, "__name__", None)
-            if name == "_blind_retransmit":
-                worklist.append((event.time, event.seq, event))
-                continue
-            if name == "_do_fault_raise":
-                owner = getattr(fn, "__self__", None)
-                if owner is not None and owner.state != STATE_NORMAL:
-                    continue
-            limit = event.time - 1
-            break
-        if not worklist:
-            return
-        odp = rnic.odp
-        ugen_now = peer_rnic.translation.unmap_generation
-        get_peer_qp = peer_rnic._qps.get  # noqa: SLF001
-        get_peer_mr = peer_rnic._mrs_by_rkey.get  # noqa: SLF001
-        qp_error = QpState.ERROR
-        # The blind period's base derives from the stale-QP count, which
-        # is frozen across the quiet window (absorbed rounds never touch
-        # ``_stale_by_qpn``), so every member's re-arm draws against the
-        # same base: hoist it, and inline the jitter's rejection loop
-        # (the exact ``Simulator.jitter`` algorithm — one ``getrandbits``
-        # per accepted draw, same stream positions as the real ticks).
-        spread = int(base * 0.1)
-        width = 2 * spread + 1
-        jbits = width.bit_length()
-        getrandbits = sim.rng.getrandbits
-        range_ready = odp.requester_range_ready
-        # ``Simulator.timer_at`` inlined for the re-arm loop: fresh
-        # sequence number, wheel residency, live-event accounting — the
-        # deadline is provably >= now, so the guard is also hoisted.
-        wheel_insert = sim._wheel.insert  # noqa: SLF001
-        now_i = sim.now
-        up_a, down_b, up_b, down_a = self._storm_links(network, peer_rnic)
-        sinks = network.synthetic_sinks(rnic.lid, remote_lid)
-        # Tap sinks want per-round capture rows: route those sweeps
-        # through the memo replay (it synthesises and feeds the rows);
-        # otherwise batch — one template shape per sweep, per-member
-        # effects applied inline, shared aggregates booked once at the
-        # end through the fabric's bulk surfaces.
-        batched = not sinks
-        shape: Optional[Tuple] = None
-        rbmax = 0
-        n_batch = 0
-        last_t = 0
-        busy_floor = max(up_a._busy_until, down_b._busy_until,  # noqa: SLF001
-                         up_b._busy_until, down_a._busy_until)  # noqa: SLF001
-        absorbed = 0
-        index = 0
-        while index < len(worklist):
-            t_i, _seq, event = worklist[index]
-            index += 1
-            # Worklist entries were collected (and re-arms created) by
-            # ``_blind_retransmit`` name: always a bound requester method.
-            req = event.fn.__self__
-            if req.state != STATE_ODP_WAIT:
-                # Inert, like the pending fault-raise timers: the tick's
-                # first statement returns (states are frozen across the
-                # window), touching no state, no link, and no RNG — its
-                # real firing order is irrelevant, so leave it pending
-                # and keep sweeping.
-                continue
-            member = req.qp
-            mc = member.coalescer
-            if (member.rnic is not rnic or member.remote_lid != remote_lid
-                    or mc._joint_pending is not None):  # noqa: SLF001
-                break
-            c = mc._blind_cache  # noqa: SLF001
-            if c is None or not mc._retransmit_matches(c.emit) \
-                    or not c.emit[0].fault_wait_registered:
-                break
-            if batched:
-                peer_qp = get_peer_qp(member.remote_qpn)
-                if (peer_qp is None or peer_qp is not c.peer_qp
-                        or peer_qp.state is qp_error):
-                    break
-                resp = peer_qp.responder
-                if resp.epsn != c.epsn or c.ugen != ugen_now:
-                    break
-                stale_mr = False
-                for rkey, rmr in c.mrs:
-                    if get_peer_mr(rkey) is not rmr:
-                        stale_mr = True
-                        break
-                if stale_mr:
-                    break
-                if shape is None:
-                    shape = c.shape_key
-                    rbmax = max(c.rel_busy)
-                elif c.shape_key != shape:
-                    break
-                if t_i + c.rel_span > limit:
-                    break
-                if t_i < busy_floor:
-                    break
-                if index < len(worklist) \
-                        and worklist[index][0] <= t_i + c.rel_interact:
-                    break
-                # Same query, same key, same order as the real discard
-                # path (memoisation counters must advance identically);
-                # a ready page ends the storm at this member's tick.
-                if range_ready(member.qpn, c.head_mr,
-                               c.head_addr, c.head_chunk):
-                    break
-                # Per-member effects, straight from the memo.
-                for wqe in c.emit:
-                    wqe.resp_received = 0
-                req.retransmitted_packets += c.count
-                req.responses_discarded_odp += 1
-                req._progress_stamp += 1  # noqa: SLF001
-                faulted = resp._faulted_psns  # noqa: SLF001
-                if faulted:
-                    for psn in c.psns:
-                        faulted.discard(psn)
-                resp.duplicates_serviced += c.count
-                if c.rel_flaw_until is not None:
-                    resp._flaw_drop_until = (  # noqa: SLF001
-                        t_i + c.rel_flaw_until)
-                mc.blind_rounds += 1
-                busy_floor = t_i + rbmax
-                last_t = t_i
-                n_batch += 1
-            else:
-                peer = mc._peer()  # noqa: SLF001
-                if peer is None:
-                    break
-                if mc._blind_fast(peer, c.emit, c, t=t_i,  # noqa: SLF001
-                                  fleet_event=event) is not True:
-                    break
-            # Fully absorbed: retire the tick and replay the rest of its
-            # body — round counter, period draw (the shared RNG stream
-            # advances at its real position), wheel re-arm.  A re-arm
-            # landing inside the limit joins the sweep at its firing
-            # position, so one sweep can carry a QP through several
-            # rounds.
-            event.cancel()
-            req.blind_retransmit_rounds += 1
-            if spread > 0:
-                r = getrandbits(jbits)
-                while r >= width:
-                    r = getrandbits(jbits)
-                period = base - spread + r
-                if period < 0:
-                    period = 0
-            else:
-                period = base
-            deadline = t_i + period
-            sim._seq = seq = sim._seq + 1  # noqa: SLF001
-            rearm = Event(deadline, seq, event.fn, ())
-            sim._pending += 1  # noqa: SLF001
-            wheel_insert(rearm, now_i)
-            req._blind_timer = rearm  # noqa: SLF001
-            if deadline <= limit:
-                insort(worklist, (deadline, seq, rearm))
-            absorbed += 1
-        if n_batch:
-            # Shared aggregates for the whole batch, booked once: NIC
-            # and port counters, link occupancy to the final member's
-            # busy horizon, switch forwards, packet serials, and the
-            # engine's coalescing ledger.
-            count, responses, req_bytes, resp_bytes = shape[:4]
-            rel_busy = shape[6]
-            total_req = count * n_batch
-            total_resp = responses * n_batch
-            total_req_bytes = req_bytes * n_batch
-            total_resp_bytes = resp_bytes * n_batch
-            client_stats = rnic.stats
-            client_stats["tx_packets"] += total_req
-            client_stats["tx_retransmissions"] += total_req
-            client_stats["rx_packets"] += total_resp
-            server_stats = peer_rnic.stats
-            server_stats["rx_packets"] += total_req
-            server_stats["tx_packets"] += total_resp
-            network.bulk_book(rnic.lid, total_req, total_req_bytes,
-                              total_resp, total_resp_bytes)
-            network.bulk_book(peer_rnic.lid, total_resp, total_resp_bytes,
-                              total_req, total_req_bytes)
-            up_a.bulk_occupy(total_req, total_req_bytes,
-                             last_t + rel_busy[0])
-            down_b.bulk_occupy(total_req, total_req_bytes,
-                               last_t + rel_busy[1])
-            up_b.bulk_occupy(total_resp, total_resp_bytes,
-                             last_t + rel_busy[2])
-            down_a.bulk_occupy(total_resp, total_resp_bytes,
-                               last_t + rel_busy[3])
-            network.switch.bulk_forward(total_req + total_resp)
-            advance_packet_serials(total_req + total_resp)
-            sim.note_coalesced(shape[8] * n_batch, shape[4] * n_batch)
-        self.fleet_rounds += absorbed
 
     # ------------------------------------------------------------------
     # Joint multi-QP blind rounds
@@ -1151,7 +836,7 @@ class StormCoalescer:
         its member record — the same per-QP storm checks as
         :meth:`_blind_slow`, evaluated now; span clearance guarantees
         they still hold when the member's tick actually fires."""
-        from repro.ib.transport.requester import STATE_ODP_WAIT
+        STATE_ODP_WAIT = _requester_states()[1]
         qp = req.qp
         rnic = self.qp.rnic
         if qp.rnic is not rnic or qp.remote_lid != self.qp.remote_lid:
@@ -1313,7 +998,7 @@ class StormCoalescer:
                 return self._decline("page_transition")
             if sim.quiet_until(span_end):
                 break
-            from repro.ib.transport.requester import STATE_NORMAL
+            STATE_NORMAL = _requester_states()[0]
             member_qpns = set()
             for member in members:
                 member_qpns.add(member.qp.qpn)

@@ -573,15 +573,11 @@ class Requester:
         if tel is not None:
             tel.instant(self.sim.now, "storm.blind_round", self.qp.rnic.lid,
                         self.qp.qpn, self.blind_retransmit_rounds)
-        coalescer = self.qp.coalescer
-        if not coalescer.coalesce_blind_round():
+        if not self.qp.coalescer.coalesce_blind_round():
             self._retransmit_from_oldest()
         period = self._blind_period_ns()
         self._blind_timer = self.sim.schedule_timer(period,
                                                     self._blind_retransmit)
-        # After the re-arm (and its RNG draw, in real order): sweep the
-        # upcoming horizon of sibling ticks through the batched path.
-        coalescer.maybe_fleet()
 
     def _on_pages_fresh(self, wqe: Wqe) -> None:
         wqe.fault_wait_registered = False

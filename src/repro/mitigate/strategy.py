@@ -55,7 +55,7 @@ class MitigationStrategy:
     description: str
     #: fast-path compatibility: incompatible strategies make the storm
     #: coalescer decline every round with a tallied ``"mitigation"``
-    #: reason (no memo is built, so no fleet sweep engages either).
+    #: reason, before any memo or joint round is built.
     coalesce_compatible: bool = True
     # --- selective-retransmit (IRN) knobs ---
     #: replace go-back-N with selective repeat at WQE granularity.
@@ -96,7 +96,7 @@ STRATEGIES: Dict[str, MitigationStrategy] = {
             description="IRN-style selective repeat: BDP-bounded window, "
                         "RTO_low instead of the C_ACK detection timeout, "
                         "eager sequence NAKs",
-            # The coalescer's closed forms (fleet sweeps included)
+            # The coalescer's closed forms (blind and joint rounds)
             # replay the go-back-N burst shape.
             coalesce_compatible=False,
             selective=True,

@@ -248,44 +248,6 @@ class Network:
         stats.tx_bytes += packet.wire_size
         uplink.transmit(packet)
 
-    def fleet_allowed(self, src_lid: int, dst_lid: int) -> bool:
-        """May rounds between this LID pair be applied in closed form?
-
-        The storm coalescer's fleet sweeps apply whole provably-quiet
-        retransmission rounds arithmetically through :meth:`bulk_book`,
-        the links' ``bulk_occupy`` and the switch's ``bulk_forward``;
-        this is re-checked per sweep, so arming an observer mid-run
-        falls traffic back to per-packet delivery.
-
-        Observers that consume the *event stream* rather than handler
-        outcomes force the real path: a chaos engine may
-        pause/flap/reorder any hop, and taps-without-sink or loss rules
-        scoped to either endpoint already force per-packet flow through
-        the :meth:`requires_real` contract.  (Taps with synthetic sinks
-        keep observing coalesced rounds as bulk rows either way.)
-        """
-        if self.chaos is not None:
-            return False
-        if (self._taps or self._loss_rules) \
-                and self.requires_real(src_lid, dst_lid):
-            return False
-        return True
-
-    def bulk_book(self, lid: int, tx_packets: int, tx_bytes: int,
-                  rx_packets: int, rx_bytes: int) -> None:
-        """Advance one port's counters by a closed-form batch.
-
-        The batched-delivery machinery proves every packet of the batch
-        crosses the fabric cleanly (no drops, no corruption) before
-        booking, so only the success counters move — exactly the state
-        a packet-by-packet replay would leave.
-        """
-        stats = self.stats[lid]
-        stats.tx_packets += tx_packets
-        stats.tx_bytes += tx_bytes
-        stats.rx_packets += rx_packets
-        stats.rx_bytes += rx_bytes
-
     def record_injected_drop(self, src_lid: int, packet: Any,
                              reason: str) -> None:
         """Book an injection-time drop (chaos engine drop faults)."""

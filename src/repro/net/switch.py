@@ -59,15 +59,3 @@ class Switch:
             return
         self.forwarded += 1
         port.transmit(packet)
-
-    def bulk_forward(self, count: int) -> None:
-        """Book ``count`` forwards applied in closed form (bulk path).
-
-        The batched-delivery machinery computes a whole round's hop
-        timeline arithmetically — every forwarded packet's LID is known
-        reachable up front — and then advances the crossbar's counter by
-        the batch, exactly the state a packet-by-packet replay would
-        leave.  Downlink occupancy is booked separately through each
-        :meth:`~repro.net.link.LinkEnd.bulk_occupy`.
-        """
-        self.forwarded += count

@@ -28,7 +28,6 @@ from repro.experiments.shard import (
     GroupResult,
     GroupSpec,
     ShardPlanError,
-    _ordered,
     _relabel_scope,
     fleet_fingerprint,
     group_specs,
@@ -145,10 +144,10 @@ def merge_tenants(config: TenantFleetConfig,
     concatenate, episodes sort by ``(start, lid)``, counters sum in
     canonical key order via the shard layer, the fleet fingerprint is
     the canonical combination of per-cell fingerprints, and execution
-    time is the critical path over cells.
+    time is the critical path over cells.  ``group_results`` arrive in
+    group order.
     """
-    ordered = _ordered(group_results)
-    cells: List[CellResult] = [group.result for group in ordered]
+    cells: List[CellResult] = [group.result for group in group_results]
     tenants: Dict[str, Any] = {}
     qp_owner: Dict[Tuple[int, int], str] = {}
     attribution: Dict[str, Dict[str, int]] = {}
@@ -176,7 +175,7 @@ def merge_tenants(config: TenantFleetConfig,
         attribution=attribution,
         counters=tuple(sorted(counters)),
         fingerprint=fleet_fingerprint([group.fingerprint
-                                       for group in ordered]),
+                                       for group in group_results]),
         execution_ns=max(cell.execution_ns for cell in cells),
         total_packets=sum(cell.total_packets for cell in cells),
     )

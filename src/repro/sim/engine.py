@@ -192,12 +192,8 @@ class Simulator:
         """Arm a timer at an absolute timestamp (:meth:`at`'s contract,
         :meth:`schedule_timer`'s wheel residency and handle).
 
-        The batched-delivery fast-forward re-arms absorbed storm ticks
-        from the batch's own instant: the replacement timer must carry
-        the next fresh sequence number (the position the absorbed
-        tick's own re-arm would have drawn — nothing else schedules in
-        a proven-quiet window) and must live in the wheel so
-        steady-state floods keep the main heap small.
+        A link under chaos arms each tracked in-flight delivery this way,
+        so that taking the link down can cancel it.
         """
         if time < self.now:
             raise SimulationError(
@@ -382,20 +378,6 @@ class Simulator:
         wheel = self._wheel
         if wheel._live and wheel._next <= limit:
             events.extend(wheel.events_until(limit))
-        return events
-
-    def ready_batch(self, limit: int) -> List[Any]:
-        """Live events firing at or before ``limit`` in exact firing
-        order (``(time, seq)``).
-
-        The batch-delivery consumers (the storm coalescer's fleet
-        sweeps, bulk observers) need the events of a horizon *in
-        the order the run loop would fire them*, not the heap/wheel's
-        internal layout; this wraps :meth:`live_events_until` with that
-        ordering guarantee.  Read-only, like the probes it builds on.
-        """
-        events = self.live_events_until(limit)
-        events.sort(key=lambda event: (event.time, event.seq))
         return events
 
     def note_coalesced(self, events: int, span_ns: int) -> None:

@@ -96,42 +96,28 @@ class TestDeclineSemantics:
     """Incompatible (strategy, fast-path) combinations decline with a
     tallied reason and never change what the run measures."""
 
-    def test_selective_declines_coalescer_with_tally(self):
-        base = _flood_config(0, num_qps=8, num_ops=64)
-        on = run_microbench(_with(base, coalesce=True,
-                                  mitigation="selective-retransmit"))
-        off = run_microbench(_with(base, coalesce=False,
-                                   mitigation="selective-retransmit"))
-        assert on.mitigation_fallbacks.get("coalesce", 0) > 0
-        assert _surface(on) == _surface(off)
-        assert on.coalesced_rounds == 0  # every round declined
-
-    def test_selective_absorbs_no_fleet_rounds(self):
-        """Fleet sweeps replay the go-back-N burst shape too: on a
-        window-1 flood they carry without a strategy, selective-retransmit
-        under ``coalesce=True`` absorbs none, tallies its declines as
-        ``"mitigation"`` and measures exactly the ``coalesce=False`` run."""
-        base = _with(_flood_config(0, num_qps=256, num_ops=1024),
-                     max_rd_atomic=1, interval_us=0.0)
-
-        def run(config):
-            clusters = []
-            result = run_microbench(config, on_cluster=clusters.append)
-            coalescers = [qp.coalescer for node in clusters[0].nodes
-                          for qp in node.rnic._qps.values()]
-            return (result, sum(c.fleet_rounds for c in coalescers),
-                    sum(c.decline_reasons.get("mitigation", 0)
-                        for c in coalescers))
-
-        _, baseline_fleet, _ = run(base)
-        selective = _with(base, mitigation="selective-retransmit")
-        on, fleet, declined = run(_with(selective, coalesce=True))
-        off = run_microbench(_with(selective, coalesce=False))
-        assert baseline_fleet > 0
-        assert fleet == 0
+    @pytest.mark.parametrize("shape", [
+        pytest.param(dict(num_qps=8, num_ops=64), id="window16"),
+        pytest.param(dict(num_qps=256, num_ops=1024, max_rd_atomic=1),
+                     id="window1")])
+    def test_selective_declines_coalescer_with_tally(self, shape):
+        """The closed forms replay the go-back-N burst shape, so under
+        selective-retransmit every round declines with a ``"mitigation"``
+        tally, the run's fallback tally is exactly those declines, and
+        it measures what the ``coalesce=False`` run does."""
+        base = _with(_flood_config(0, num_qps=8, num_ops=64), **shape,
+                     mitigation="selective-retransmit")
+        clusters = []
+        on = run_microbench(_with(base, coalesce=True),
+                            on_cluster=clusters.append)
+        off = run_microbench(_with(base, coalesce=False))
+        declined = sum(qp.coalescer.decline_reasons.get("mitigation", 0)
+                       for node in clusters[0].nodes
+                       for qp in node.rnic._qps.values())
         assert declined > 0
         assert on.mitigation_fallbacks == {"coalesce": declined}
         assert _surface(on) == _surface(off)
+        assert on.coalesced_rounds == 0  # every round declined
 
     @pytest.mark.parametrize("strategy", ["dynamic-pin",
                                           "prefetch-advise"])

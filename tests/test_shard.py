@@ -124,13 +124,12 @@ class TestMergePrimitives:
                                                           spark_fleet):
         # Pooled groups arrive in shard order, (0, 2) then (1, 3); the
         # merge puts them back in canonical group order.
-        assert [g.index for g in spark_fleet.groups] == [0, 2, 1, 3]
+        assert [g.index for g in spark_fleet.groups] == [0, 1, 2, 3]
         expected = merge_counter_items(group.counters
                                        for group in spark_fleet.groups)
         assert spark_fleet.counters.as_dict() == expected.as_dict()
-        by_index = sorted(spark_fleet.groups, key=lambda g: g.index)
         assert spark_fleet.fingerprint == fleet_fingerprint(
-            [group.fingerprint for group in by_index])
+            [group.fingerprint for group in spark_fleet.groups])
 
 
 class TestShardInvariance:

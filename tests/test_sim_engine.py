@@ -592,9 +592,8 @@ class TestTimerWheelBoundaries:
 
 
 class TestJitterStreamIdentity:
-    """The storm coalescer's fleet sweep inlines ``Simulator.jitter``'s
-    rejection loop; both must consume the shared Mersenne stream
-    identically — the engine docstring promises a test pins this."""
+    """``Simulator.jitter`` inlines ``random.randint``'s rejection loop;
+    both must consume the shared Mersenne stream identically."""
 
     def test_jitter_matches_randint_stream(self):
         for seed in (0, 7, 50):
@@ -608,24 +607,3 @@ class TestJitterStreamIdentity:
                     expect = max(0, base + reference.randint(-spread,
                                                              spread))
                 assert sim.jitter(base, 0.1) == expect
-
-    def test_inlined_rejection_loop_matches_jitter(self):
-        """The exact loop the sweep inlines (one getrandbits per
-        accepted draw, rejection on overflow) against sim.jitter on a
-        twin simulator."""
-        sim = Simulator(seed=50)
-        twin = Simulator(seed=50)
-        getrandbits = twin.rng.getrandbits
-        for base in (1000, 65536, 999_983, 123_456_789):
-            spread = int(base * 0.1)
-            width = 2 * spread + 1
-            jbits = width.bit_length()
-            r = getrandbits(jbits)
-            while r >= width:
-                r = getrandbits(jbits)
-            period = base - spread + r
-            if period < 0:
-                period = 0
-            assert sim.jitter(base, 0.1) == period
-        # Streams stayed aligned: the next draw agrees too.
-        assert sim.rng.getrandbits(32) == twin.rng.getrandbits(32)

@@ -4,8 +4,10 @@ The coalescer's contract is *exact or decline*: every reported metric of
 a run with ``coalesce=True`` must be bit-identical to the same run with
 ``coalesce=False`` — the fast-forward only changes how long the wall
 clock takes to get there.  These tests enforce that on Figure 4- and
-Figure 9-shaped workloads, check that armed observers force the
-per-packet path (per QP pair, not globally), and unit-test the engine
+Figure 9-shaped workloads, at the default window and in the window-1
+lazy-payload configuration; check that raw taps and loss rules force
+the per-packet path (per QP pair, not globally) while a sniffer or a
+telemetry session leaves the path unchanged; and unit-test the engine
 probes and the tx-ring replay the closed forms are built on.
 """
 
@@ -55,40 +57,68 @@ def _flood_config(coalesce, num_qps=50, num_ops=512, size=400,
                             telemetry=telemetry)
 
 
+def _window1_flood(coalesce, telemetry=None):
+    """A 256-QP client-ODP flood at window 1 with lazy payloads: blind,
+    joint and declined rounds all occur in one run."""
+    return MicrobenchConfig(size=400, num_ops=1024, num_qps=256,
+                            interval_us=0.0, odp=OdpSetup.CLIENT,
+                            integrity=False, seed=50, max_rd_atomic=1,
+                            coalesce=coalesce, telemetry=telemetry)
+
+
+def _coalescers(cluster):
+    return [qp.coalescer for node in cluster.nodes
+            for qp in node.rnic._qps.values()]
+
+
+#: The default window of 16 and the window-1 lazy-payload configuration.
+WINDOWS = [pytest.param(16, id="window16"), pytest.param(1, id="window1")]
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("odp", list(OdpSetup))
-    def test_fig04_shape(self, odp):
+    @pytest.mark.parametrize("odp, window1", [
+        *(pytest.param(odp, False, id=str(odp)) for odp in OdpSetup),
+        *(pytest.param(odp, True, id=f"{odp}-window1") for odp in OdpSetup)])
+    def test_fig04_shape(self, odp, window1):
         """The paper's damming experiment: 2 ops, every ODP mode."""
+        lazy_window1 = dict(integrity=False, max_rd_atomic=1) \
+            if window1 else {}
+
         def cfg(coalesce):
             return MicrobenchConfig(size=100, num_ops=2, num_qps=1,
                                     odp=odp,
                                     min_rnr_timer_ns=round(1.28 * MS),
-                                    coalesce=coalesce)
+                                    coalesce=coalesce, **lazy_window1)
         off = run_microbench(cfg(False))
         on = run_microbench(cfg(True))
         assert _metrics(off) == _metrics(on)
 
-    def test_fig09_shape_client_flood(self):
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_fig09_shape_client_flood(self, window):
         """A flood point deep enough to engage blind-round coalescing."""
-        off = run_microbench(_flood_config(False))
-        on = run_microbench(_flood_config(True))
+        off = run_microbench(_flood_config(False, max_rd_atomic=window))
+        on = run_microbench(_flood_config(True, max_rd_atomic=window))
         assert _metrics(off) == _metrics(on)
         assert on.coalesced_rounds > 0
         assert off.coalesced_rounds == 0
 
-    def test_fig09_shape_both_sides(self):
-        off = run_microbench(_flood_config(False, num_qps=25, num_ops=256,
-                                           odp=OdpSetup.BOTH))
-        on = run_microbench(_flood_config(True, num_qps=25, num_ops=256,
-                                          odp=OdpSetup.BOTH))
-        assert _metrics(off) == _metrics(on)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_fig09_shape_both_sides(self, window):
+        def cfg(coalesce):
+            return _flood_config(coalesce, num_qps=25, num_ops=256,
+                                 odp=OdpSetup.BOTH, max_rd_atomic=window)
+        assert _metrics(run_microbench(cfg(False))) \
+            == _metrics(run_microbench(cfg(True)))
 
-    def test_fig09_shape_server_damming(self):
-        off = run_microbench(_flood_config(False, num_qps=10, num_ops=256,
-                                           odp=OdpSetup.SERVER))
-        on = run_microbench(_flood_config(True, num_qps=10, num_ops=256,
-                                          odp=OdpSetup.SERVER))
-        assert _metrics(off) == _metrics(on)
+    @pytest.mark.parametrize("num_qps, window", [
+        pytest.param(10, 16, id="window16"),
+        pytest.param(25, 1, id="window1")])
+    def test_fig09_shape_server_damming(self, num_qps, window):
+        def cfg(coalesce):
+            return _flood_config(coalesce, num_qps=num_qps, num_ops=256,
+                                 odp=OdpSetup.SERVER, max_rd_atomic=window)
+        assert _metrics(run_microbench(cfg(False))) \
+            == _metrics(run_microbench(cfg(True)))
 
     def test_rnr_recovery_replays_per_packet(self):
         """Server-side RNR recovery rounds (Figure 1, left) have no
@@ -106,22 +136,26 @@ class TestBitIdentity:
         assert on.coalesced_rounds == 0
         assert _metrics(on) == _metrics(off)
 
-    def test_joint_rounds_engage_at_scale(self):
+    @pytest.mark.parametrize("config", [
+        pytest.param(_flood_config, id="window16"),
+        pytest.param(_window1_flood, id="window1")])
+    def test_joint_rounds_engage_at_scale(self, config):
         """Many stale QPs ticking into one another's spans must merge
-        into joint rounds, not fall back to the per-packet path."""
+        into joint rounds, not fall back to the per-packet path, and
+        blind and joint rounds together must not double-apply anything:
+        the run measures what the per-packet run does."""
         clusters = []
-        result = run_microbench(_flood_config(True),
-                                on_cluster=clusters.append)
-        client_node = clusters[0].nodes[0]
-        joint = sum(qp.coalescer.joint_rounds
-                    for qp in client_node.rnic._qps.values())
-        assert result.coalesced_rounds > 0
-        assert joint > 0
+        on = run_microbench(config(True), on_cluster=clusters.append)
+        off = run_microbench(config(False))
+        assert sum(c.joint_rounds for c in _coalescers(clusters[0])) > 0
+        assert on.coalesced_rounds > 0
+        assert off.coalesced_rounds == 0
+        assert _metrics(on) == _metrics(off)
 
     def test_telemetry_counters_and_fingerprint_unchanged(self):
-        """An attached telemetry session forces per-packet delivery;
-        fingerprints and the counter identity surface must match the
-        per-packet run exactly (the gate the telemetry smoke runs)."""
+        """With a telemetry session attached, coalescing on and off give
+        the same metrics, fingerprint and counter identity surface (the
+        gate the telemetry smoke runs)."""
         streams = []
         for coalesce in (False, True):
             tel = Telemetry()
@@ -172,28 +206,10 @@ class TestBitIdentity:
         assert _metrics(reference) == _metrics(capped)
 
 
-class TestFleetSweeps:
-    def test_fleet_sweeps_engage_with_coalesce_alone(self):
-        """``coalesce=True`` is the only knob a window-1 lazy-payload
-        flood needs for fleet sweeps to carry it, and the swept run
-        still measures exactly what the per-packet run does."""
-        def cfg(coalesce):
-            return MicrobenchConfig(size=400, num_ops=2048, num_qps=512,
-                                    interval_us=0.0, odp=OdpSetup.CLIENT,
-                                    integrity=False, seed=50,
-                                    max_rd_atomic=1, coalesce=coalesce)
-        clusters = []
-        on = run_microbench(cfg(True), on_cluster=clusters.append)
-        off = run_microbench(cfg(False))
-        coalescers = [qp.coalescer for node in clusters[0].nodes
-                      for qp in node.rnic._qps.values()]
-        assert sum(c.fleet_rounds for c in coalescers) > 0
-        assert on.blind_retransmit_rounds > 0
-        assert _metrics(on) == _metrics(off)
-
+class TestRuntime:
     def test_runtime_never_imports_numpy(self):
-        """The simulator is pure stdlib: a coalesced flood (fleet sweeps
-        included) runs in a fresh interpreter without loading numpy."""
+        """The simulator is pure stdlib: a coalesced flood runs in a
+        fresh interpreter without loading numpy."""
         script = (
             "import sys\n"
             "import repro\n"
@@ -223,9 +239,8 @@ class TestBlindMemoValidity:
         blind_fast = StormCoalescer._blind_fast
         blind_slow = StormCoalescer._blind_slow
 
-        def fast(self, peer, emit, c, t=None, fleet_event=None):
-            applied = blind_fast(self, peer, emit, c, t=t,
-                                 fleet_event=fleet_event)
+        def fast(self, peer, emit, c):
+            applied = blind_fast(self, peer, emit, c)
             if applied is True:
                 table = peer[1].translation
                 replays.append((c, table.generation,
@@ -303,6 +318,32 @@ class TestObserverGating:
         rows_off = [r.describe() for r in real[0].records]
         assert rows_on == rows_off
         assert len(rows_on) == on.total_packets
+
+    def test_traced_run_takes_the_untraced_path(self):
+        """Watching must not change the code path: with a telemetry
+        session attached, the coalescer runs the same blind, joint and
+        declined rounds for the same reasons, the engine fires the same
+        events, and the run measures the same metrics."""
+        def run(telemetry):
+            clusters = []
+            result = run_microbench(_window1_flood(True, telemetry),
+                                    on_cluster=clusters.append)
+            coalescers = _coalescers(clusters[0])
+            reasons = {}
+            for c in coalescers:
+                for reason, count in c.decline_reasons.items():
+                    reasons[reason] = reasons.get(reason, 0) + count
+            rounds = tuple(sum(getattr(c, name) for c in coalescers)
+                           for name in ("blind_rounds", "joint_rounds",
+                                        "declined_rounds"))
+            return (rounds, reasons, clusters[0].sim.events_fired,
+                    result.events_coalesced, _metrics(result))
+
+        untraced = run(None)
+        rounds, reasons = untraced[:2]
+        assert all(count > 0 for count in rounds)
+        assert reasons
+        assert run(Telemetry()) == untraced
 
     def test_scoped_tap_only_forces_its_own_lids(self):
         cluster = build_pair()
