@@ -93,6 +93,7 @@ def _run_once(cell: SparkCell, odp_enabled: bool, seed: int,
     proc = cluster.run_job(rounds)
     cluster.sim.run_until_idle()
     _ = proc.result
+    cluster.release()
     return {
         "time_s": ns_to_s(cluster.sim.now - start),
         "timeouts": cluster.transport_timeouts(),

@@ -225,6 +225,17 @@ class SparkCluster:
                         fetch_index += 1
         yield all_of(futures)
 
+    def release(self) -> None:
+        """Free the job's cell once its outputs are read: the fabric's
+        :meth:`~repro.host.cluster.Cluster.release`, plus the workers'
+        and endpoints' links back to their owners.  Timeouts, packets,
+        completions and counters stay readable."""
+        self.fabric.release()
+        for worker in self.workers:
+            worker.cluster = None
+            for endpoint in worker.ucx.endpoints:
+                endpoint.context = None
+
     # ------------------------------------------------------------------
 
     def transport_timeouts(self) -> int:

@@ -341,7 +341,7 @@ def run_microbench(config: MicrobenchConfig,
             if local_buf.read(wr_id * config.size, 1) \
                     != bytes([wr_id % 256]):
                 integrity_errors += 1
-    return MicrobenchResult(
+    result = MicrobenchResult(
         config=config,
         execution_time_ns=timing["end"] - timing["start"],
         completions=sorted(completions, key=lambda c: c[1]),
@@ -366,3 +366,5 @@ def run_microbench(config: MicrobenchConfig,
         events_coalesced=sim.events_coalesced,
         mitigation_fallbacks=fallbacks,
     )
+    cluster.release()
+    return result

@@ -165,6 +165,11 @@ class VirtualMemory:
             hook(page)
         return True
 
+    def release(self) -> None:
+        """Drop the invalidation hooks (end of run): they are bound
+        methods of the MRs registered over this address space."""
+        self._invalidation_hooks.clear()
+
     def add_invalidation_hook(self, hook: Callable[[int], None]) -> None:
         """Register an MMU-notifier-like callback fired on eviction."""
         self._invalidation_hooks.append(hook)

@@ -30,6 +30,12 @@ class Node:
         self.driver = Driver(sim, name=f"{name}.mlx5_0")
         self.rnic = Rnic(sim, profile, lid, self.driver, network)
 
+    def release(self) -> None:
+        """Cut the back-references of the node's RNIC and address space
+        (end of run; see :meth:`repro.host.cluster.Cluster.release`)."""
+        self.rnic.release()
+        self.vm.release()
+
     def open_device(self) -> "Context":
         """``ibv_open_device`` for this node's RNIC."""
         from repro.ib.verbs.context import Context  # local import: cycle

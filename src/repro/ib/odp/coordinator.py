@@ -84,6 +84,11 @@ class OdpCoordinator:
         # audit-able against the engine's transition log.
         rnic.status_engine.transition_hook = self._bump_view_gen
 
+    def release(self) -> None:
+        """Drop the RNIC back-reference (end of run); the fault tallies
+        and the stale-view set stay readable."""
+        self.rnic = None
+
     def _bump_view_gen(self) -> None:
         self._view_gen += 1
         if len(self._ready_cache) > _READY_CACHE_LIMIT:

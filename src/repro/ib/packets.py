@@ -209,7 +209,13 @@ class Packet:
         self.is_request = is_req
         self.is_read_response = is_rresp
         self.is_ack = is_ack
-        size = len(payload) if payload is not None else 0
+        if payload is None:
+            size = 0
+        elif type(payload) is PayloadRef:
+            # the descriptor's field, not the Python-level __len__
+            size = payload.length
+        else:
+            size = len(payload)
         self.payload_size = size
         size += BASE_HEADER_BYTES + atomic_bytes
         if reth is not None:

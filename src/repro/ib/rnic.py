@@ -227,6 +227,23 @@ class Rnic:
         for packet in backlog:
             self.sim.schedule(self.profile.rx_proc_ns, self._dispatch, packet)
 
+    def release(self) -> None:
+        """Cut the back-references of everything this device owns (end
+        of run; see :meth:`repro.host.cluster.Cluster.release`).
+
+        The QP, MR and CQ tables, ``stats`` and the ODP tallies stay,
+        so every top-down read of the finished run still works.
+        """
+        for qp in self._qps.values():
+            qp.release()
+        for mr in self._mrs_by_rkey.values():
+            mr.release()
+        for cq in self.cqs:
+            cq.release()
+        self.odp.release()
+        self.qp_watchers.clear()
+        self.cq_watchers.clear()
+
     # ------------------------------------------------------------------
     # Object-creation observers (invariant monitor wiring)
     # ------------------------------------------------------------------

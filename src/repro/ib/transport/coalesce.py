@@ -172,6 +172,13 @@ class StormCoalescer:
         """Total storm rounds applied as macro-events."""
         return self.blind_rounds
 
+    def release(self) -> None:
+        """Drop the QP and the memoised round and link lookups, which
+        hold the peer QP and RNIC (end of run); the tallies stay."""
+        self.qp = None
+        self._blind_cache = None
+        self._links_cache = None
+
     def note_stall(self, waited_ns: int) -> None:
         """Record a pure damming stall (timeout with no progress)."""
         self.stall_timeouts += 1

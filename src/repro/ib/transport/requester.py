@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.ib.opcodes import Opcode, Syndrome
 from repro.ib.packets import Packet, PayloadRef, Reth
 from repro.ib.transport.psn import PSN_MASK, psn_add, psn_diff
-from repro.ib.verbs.enums import OdpMode, QpState, WcOpcode, WcStatus
+from repro.ib.verbs.enums import QpState, WcOpcode, WcStatus
 from repro.ib.verbs.wr import WorkCompletion, WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -54,11 +54,13 @@ class Wqe:
 
     ``is_read``/``is_atomic`` are plain attributes fixed at posting: the
     opcode of a work request never changes, and every emit reads them.
+    ``reth`` is the request's RETH, built at its first emission and
+    shared by every go-back-N re-emission (headers are immutable).
     """
 
     __slots__ = ("wr", "first_psn", "req_packets", "psn_span", "resp_needed",
                  "resp_received", "completed", "posted_at", "transmitted",
-                 "fault_wait_registered", "is_read", "is_atomic")
+                 "fault_wait_registered", "is_read", "is_atomic", "reth")
 
     def __init__(self, wr: WorkRequest, first_psn: int, req_packets: int,
                  psn_span: int, resp_needed: int, posted_at: int):
@@ -72,6 +74,7 @@ class Wqe:
         self.posted_at = posted_at
         self.transmitted = False
         self.fault_wait_registered = False
+        self.reth: Optional[Reth] = None
         opcode = wr.opcode
         #: True for RDMA READ.
         self.is_read = opcode is WcOpcode.RDMA_READ
@@ -193,11 +196,14 @@ class Requester:
             if retransmission:
                 wqe.resp_received = 0
                 self.retransmitted_packets += 1
-            remote = wr.remote
+            reth = wqe.reth
+            if reth is None:
+                remote = wr.remote
+                reth = wqe.reth = Reth(remote.addr, remote.rkey,
+                                       wr.local.length)
             rnic.tx_enqueue(Packet(
                 rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn,
-                _READ_REQUEST, wqe.first_psn, True, None,
-                Reth(remote.addr, remote.rkey, wr.local.length), None,
+                _READ_REQUEST, wqe.first_psn, True, None, reth, None,
                 retransmission))
             return True
         if wqe.is_atomic:
@@ -206,7 +212,9 @@ class Requester:
                 self.retransmitted_packets += 1
             opcode = (Opcode.COMPARE_SWAP if wr.opcode is WcOpcode.COMP_SWAP
                       else Opcode.FETCH_ADD)
-            remote = wr.remote
+            reth = wqe.reth
+            if reth is None:
+                reth = wqe.reth = Reth(wr.remote.addr, wr.remote.rkey, 8)
             # Atomics always carry real operand bytes: they are semantic,
             # not bulk data, and feed the responder's compare/add.
             rnic.tx_enqueue(Packet(
@@ -214,7 +222,7 @@ class Requester:
                 wqe.first_psn, True,
                 wr.compare_add.to_bytes(8, "little")
                 + wr.swap.to_bytes(8, "little"),
-                Reth(remote.addr, remote.rkey, 8), None, retransmission))
+                reth, None, retransmission))
             return True
         # WRITE / SEND: local pages must be readable by the NIC first.
         if not self._local_pages_ready(wqe):
@@ -243,7 +251,10 @@ class Requester:
             self.retransmitted_packets += count
         if wr.opcode is _WC_RDMA_WRITE:
             only, first, middle, last = _WRITE_SEGMENTS
-            reth = Reth(wr.remote.addr, wr.remote.rkey, total_len)
+            reth = wqe.reth
+            if reth is None:
+                reth = wqe.reth = Reth(wr.remote.addr, wr.remote.rkey,
+                                       total_len)
         else:
             only, first, middle, last = _SEND_SEGMENTS
             reth = None

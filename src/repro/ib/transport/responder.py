@@ -274,25 +274,26 @@ class Responder:
 
     def _continue_message(self, packet: Packet, assembly: _MessageAssembly,
                           starting: bool) -> None:
-        payload = packet.payload or b""
+        payload = packet.payload
+        size = packet.payload_size
         target_addr = assembly.addr + assembly.offset
         mr = assembly.mr
         odp = self.qp.rnic.odp
-        if mr.mode.is_odp and payload and not odp.responder_range_ready(
-                mr, target_addr, len(payload)):
-            odp.responder_raise_faults(mr, target_addr, len(payload))
+        if mr.mode.is_odp and size and not odp.responder_range_ready(
+                mr, target_addr, size):
+            odp.responder_raise_faults(mr, target_addr, size)
             self._faulted_psns.add(packet.psn)
             self._send_rnr_nak(packet.psn)
             return
         replay = packet.psn in self._faulted_psns
         self._faulted_psns.discard(packet.psn)
-        if payload and not isinstance(payload, PayloadRef):
+        if size and not isinstance(payload, PayloadRef):
             mr.vm.write(target_addr, payload)
         last = packet.opcode in (Opcode.RDMA_WRITE_LAST, Opcode.RDMA_WRITE_ONLY,
                                  Opcode.SEND_LAST, Opcode.SEND_ONLY)
         if starting and assembly.is_send:
             self.recv_queue.popleft()
-        assembly.offset += len(payload)
+        assembly.offset += size
         self._assembly = None if last else assembly
         self.epsn = psn_add(packet.psn, 1)
         self.requests_executed += 1

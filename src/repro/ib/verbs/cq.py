@@ -48,6 +48,12 @@ class CompletionQueue:
             self.on_completion(wc)
         self._satisfy_waiters()
 
+    def release(self) -> None:
+        """Drop the stored callbacks (end of run); the queued
+        completions and the tallies stay readable."""
+        self.on_completion = None
+        self.push_hooks.clear()
+
     def poll(self, max_entries: int = 1) -> List[WorkCompletion]:
         """Drain up to ``max_entries`` completions (``ibv_poll_cq``)."""
         out: List[WorkCompletion] = []

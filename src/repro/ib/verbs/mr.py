@@ -131,6 +131,13 @@ class MemoryRegion:
         self.rnic.translation.unmap_all(self)
         self.rnic.unregister_mr(self)
 
+    def release(self) -> None:
+        """Drop the RNIC, the PD and the ready future (end of run): the
+        future resolved with this MR, so each of them leads back here."""
+        self.rnic = None
+        self.pd = None
+        self.ready = None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<MR#{self.handle} {self.mode.value} "
                 f"{self.addr:#x}+{self.length}>")

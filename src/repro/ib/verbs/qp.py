@@ -231,6 +231,18 @@ class QueuePair:
         self.responder.flush_on_error()
         self.rnic.note_qp_idle(self)
 
+    def release(self) -> None:
+        """Cut every reference that points back up the cell (end of
+        run; see :meth:`repro.host.cluster.Cluster.release`).  The
+        transport machines and their tallies stay readable."""
+        self.requester.qp = None
+        self.responder.qp = None
+        self.coalescer.release()
+        self.rnic = None
+        self.pd = None
+        self.transition_hooks.clear()
+        self.post_hooks.clear()
+
     @property
     def outstanding(self) -> int:
         """Incomplete send-queue WQEs."""

@@ -104,6 +104,11 @@ class UdQueuePair:
             completed_at=self.rnic.sim.now,
         ))
 
+    def release(self) -> None:
+        """Drop the RNIC and PD back-references (end of run)."""
+        self.rnic = None
+        self.pd = None
+
     @property
     def recv_queue_depth(self) -> int:
         """Posted receive buffers."""

@@ -129,8 +129,15 @@ class Network:
             None if lids is None else frozenset(lids), synthetic_sink)
 
     def remove_tap(self, tap: Callable[[int, int, Any], None]) -> None:
-        """Unregister a tap added with :meth:`add_tap`."""
-        self._taps.remove(tap)
+        """Unregister a tap added with :meth:`add_tap`.
+
+        Removing a tap that is no longer registered (say, after
+        :meth:`release`) is a no-op.
+        """
+        try:
+            self._taps.remove(tap)
+        except ValueError:
+            return
         self._tap_meta.pop(tap, None)
 
     def add_loss_rule(self, rule: Callable[[Any], bool],
@@ -308,6 +315,25 @@ class Network:
         """Both :class:`~repro.net.link.LinkEnd` directions of a LID."""
         link = self._links[lid]
         return (link.a_to_b, link.b_to_a)
+
+    def release(self) -> None:
+        """Cut the callbacks that lead back to the attached devices and
+        observers (end of run; see
+        :meth:`repro.host.cluster.Cluster.release`).
+
+        Port and link counters, ``drops`` and ``chaos`` stay readable.
+        An installed chaos engine and this network keep their links to
+        each other (``drop_log`` reads ``drops``, the counters read
+        ``chaos.stats``), so a chaos cell is the one cell left to the
+        cyclic collector.
+        """
+        self.devices.clear()
+        self.switch.on_drop = None
+        for link in self._links.values():
+            link.a_to_b.deliver = link.b_to_a.deliver = None
+        self._taps.clear()
+        self._tap_meta.clear()
+        self.clear_loss_rules()
 
     # ------------------------------------------------------------------
 

@@ -255,6 +255,7 @@ class ServiceCell:
         )
         from repro.service.interference import attribute_stalls
         result.attribution = attribute_stalls(result)
+        cluster.release()
         return result
 
     # ------------------------------------------------------------------

@@ -315,6 +315,17 @@ class Simulator:
             )
         return self.now
 
+    def release(self) -> None:
+        """Drop whatever the heap and the timer wheel still hold.
+
+        Called once a run's outputs have been read (see
+        :meth:`repro.host.cluster.Cluster.release`): leftover entries
+        are cancelled timers whose callbacks point back into the cell.
+        The clock and every counter stay readable.
+        """
+        self._queue.clear()
+        self._wheel.release()
+
     def pending_events(self) -> int:
         """Number of live (scheduled, not yet fired or cancelled) events.
 

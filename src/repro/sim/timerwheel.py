@@ -121,6 +121,17 @@ class TimerWheel:
                     del slots[key]
         self._cancelled = 0
 
+    def release(self) -> None:
+        """Forget every filed timer and the simulator (end of a run).
+
+        Each live or cancelled event a slot still holds keeps its
+        callback, which points back into the cell that armed it; the
+        wheel's own ``sim`` closes a simulator <-> wheel cycle.
+        """
+        for slots in self._slots:
+            slots.clear()
+        self.sim = None
+
     # ------------------------------------------------------------------
     # Promotion into the main heap
     # ------------------------------------------------------------------

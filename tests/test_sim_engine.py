@@ -577,33 +577,21 @@ class TestTimerWheelBoundaries:
         sim.run_until_idle()
         assert fired == []
 
-    def test_jitter_matches_documented_stream(self):
-        """``Simulator.jitter`` docstring: same stream consumption as
-        ``rng.randint(-spread, spread)`` — pinned here."""
-        import random as _random
-        for seed in (0, 3, 50):
-            sim = Simulator(seed=seed)
-            reference = _random.Random(seed)
-            for base in (1000, 54321, 999_983):
-                spread = int(base * 0.1)
-                expected = max(0, base + reference.randint(-spread,
-                                                           spread))
-                assert sim.jitter(base, 0.1) == expected
-
 
 class TestJitterStreamIdentity:
     """``Simulator.jitter`` inlines ``random.randint``'s rejection loop;
-    both must consume the shared Mersenne stream identically."""
+    both must consume the shared Mersenne stream identically (its
+    docstring promises ``rng.randint(-spread, spread)``'s stream)."""
 
-    def test_jitter_matches_randint_stream(self):
-        for seed in (0, 7, 50):
-            sim = Simulator(seed=seed)
-            reference = random.Random(seed)
-            for base in (1000, 12345, 999_983, 3, 10):
-                spread = int(base * 0.1)
-                if spread <= 0:
-                    expect = base
-                else:
-                    expect = max(0, base + reference.randint(-spread,
-                                                             spread))
-                assert sim.jitter(base, 0.1) == expect
+    @pytest.mark.parametrize("seed", [0, 3, 7, 50],
+                             ids=lambda seed: f"seed{seed}")
+    def test_jitter_matches_randint_stream(self, seed):
+        sim = Simulator(seed=seed)
+        reference = random.Random(seed)
+        for base in (1000, 12345, 54321, 999_983, 3, 10):
+            spread = int(base * 0.1)
+            if spread <= 0:
+                expect = base
+            else:
+                expect = max(0, base + reference.randint(-spread, spread))
+            assert sim.jitter(base, 0.1) == expect
