@@ -47,6 +47,8 @@ class ChaosEngine:
         self.cluster = cluster
         self.network = cluster.network
         self.sim = cluster.sim
+        #: the fabric's drop record, still readable after release.
+        self._drops = cluster.network.drops
         self.plan = plan
         self.seed = seed
         self.rng = random.Random(seed)
@@ -308,4 +310,11 @@ class ChaosEngine:
     def drop_log(self) -> List[Tuple]:
         """The fabric's chronological drop record as comparable rows."""
         return [(d.time, d.reason) + self.packet_id(d.packet)
-                for d in self.network.drops]
+                for d in self._drops]
+
+    def release(self) -> None:
+        """Forget the cell, which points back here (end of run; see
+        :meth:`repro.net.network.Network.release`).  ``log``, ``stats``
+        and :meth:`drop_log` stay readable."""
+        self.cluster = self.network = self.sim = None
+        self._nodes = {}

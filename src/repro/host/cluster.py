@@ -131,11 +131,11 @@ class Cluster:
         """Let reference counting free the cell once its outputs are read.
 
         A running cell is full of references that point back up its
-        ownership tree or into stored callbacks (simulator and timer
-        wheel, RNIC and its QPs, MRs and ODP coordinator, fabric and its
+        ownership tree or into stored callbacks (simulator and its
+        heap, RNIC and its QPs, MRs and ODP coordinator, fabric and its
         devices), so a dropped cell would wait for the cyclic garbage
-        collector.  This cuts each of them and clears the engine's heap
-        and timer wheel.  Every top-down read stays valid afterwards:
+        collector.  This cuts each of them and clears the engine's
+        heap.  Every top-down read stays valid afterwards:
         :func:`~repro.telemetry.counters.collect_counters`,
         :meth:`total_packets`, each QP's requester/responder/coalescer
         tallies, telemetry and sniffer buffers.  The cell cannot run

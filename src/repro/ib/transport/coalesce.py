@@ -77,6 +77,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Wire size of a storm READ request.
 _REQ_WIRE = BASE_HEADER_BYTES + RETH_BYTES
 
+#: The access mask ``Responder._validate`` checks for a READ.
+_REMOTE_READ = Access.REMOTE_READ.value
+
 #: Events a packet costs on the per-packet path: tx drain, switch
 #: forward (the uplink delivery itself, ``forward_ns`` after the wire
 #: arrival), downlink arrival, rx dispatch.
@@ -578,7 +581,7 @@ class StormCoalescer:
                 return self._decline("not_duplicate")
             length = wr.local.length
             rmr = resp._validate(wr.remote.rkey, wr.remote.addr,  # noqa: SLF001
-                                 length, Access.REMOTE_READ)
+                                 length, _REMOTE_READ)
             if rmr is None:
                 return self._decline("validate")
             if rmr.mode.is_odp and not peer_rnic.odp.responder_range_ready(
@@ -914,7 +917,7 @@ class StormCoalescer:
                 return None
             length = wr.local.length
             rmr = resp._validate(wr.remote.rkey, wr.remote.addr,  # noqa: SLF001
-                                 length, Access.REMOTE_READ)
+                                 length, _REMOTE_READ)
             if rmr is None:
                 return None
             if rmr.mode.is_odp and not peer_rnic.odp.responder_range_ready(

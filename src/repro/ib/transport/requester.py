@@ -502,7 +502,10 @@ class Requester:
         configured = packet.aeth.rnr_timer_ns or self.qp.attrs.min_rnr_timer_ns
         base = profile.actual_rnr_delay_ns(configured)
         delay = self.sim.jitter(base, profile.rnr_delay_jitter)
-        self._rnr_timer = self.sim.schedule_timer(delay, self._rnr_recover)
+        # Never pending here: an RNR wait ends only when this timer
+        # fires or the QP quiesces.
+        self._rnr_timer = self.sim.rearm(self._rnr_timer, delay,
+                                         self._rnr_recover)
 
     def _rnr_recover(self) -> None:
         if self.state != STATE_RNR_WAIT:
@@ -520,15 +523,14 @@ class Requester:
     # ------------------------------------------------------------------
 
     def _schedule_fault_raise(self) -> None:
-        if self._fault_raise_timer is not None \
-                and self._fault_raise_timer.pending:
+        timer = self._fault_raise_timer
+        if timer is not None and timer.pending:
             return
         delay = self.qp.rnic.profile.odp_fault_raise_ns
-        self._fault_raise_timer = self.sim.schedule_timer(delay,
-                                                          self._do_fault_raise)
+        self._fault_raise_timer = self.sim.rearm(timer, delay,
+                                                 self._do_fault_raise)
 
     def _do_fault_raise(self) -> None:
-        self._fault_raise_timer = None
         if self.state != STATE_NORMAL or not self.wqes:
             return
         head = self.wqes[0]
@@ -557,10 +559,11 @@ class Requester:
             fresh = self.qp.rnic.odp.requester_wait_fresh(
                 self.qp.qpn, wr.local.mr, wr.local.addr, wr.local.length)
             fresh.add_callback(lambda _f: self._on_pages_fresh(wqe))
-        if self._blind_timer is None or not self._blind_timer.pending:
+        timer = self._blind_timer
+        if timer is None or not timer.pending:
             period = self._blind_period_ns()
-            self._blind_timer = self.sim.schedule_timer(
-                period, self._blind_retransmit)
+            self._blind_timer = self.sim.rearm(timer, period,
+                                               self._blind_retransmit)
 
     def _blind_period_ns(self) -> int:
         """Blind retransmission period: ~0.5 ms when lightly loaded,
@@ -587,8 +590,13 @@ class Requester:
         if not self.qp.coalescer.coalesce_blind_round():
             self._retransmit_from_oldest()
         period = self._blind_period_ns()
-        self._blind_timer = self.sim.schedule_timer(period,
-                                                    self._blind_retransmit)
+        timer = self._blind_timer
+        if timer is not None and timer.pending:
+            # The replay re-entered the ODP wait and armed a tick of its
+            # own; that tick stays armed beside this one.
+            timer = None
+        self._blind_timer = self.sim.rearm(timer, period,
+                                           self._blind_retransmit)
 
     def _on_pages_fresh(self, wqe: Wqe) -> None:
         wqe.fault_wait_registered = False
@@ -605,7 +613,6 @@ class Requester:
         self.state = STATE_NORMAL
         if self._blind_timer is not None:
             self._blind_timer.cancel()
-            self._blind_timer = None
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
 
@@ -636,23 +643,19 @@ class Requester:
         if not self.wqes:
             if timer is not None:
                 timer.cancel()
-                self._timer = None
             return
         if self.qp.attrs.cack == 0:
             return
-        if timer is not None:
-            if timer.pending and not rearm:
-                return
-            timer.cancel()
+        if not rearm and timer is not None and timer.pending:
+            return
         duration = self._sample_timeout()
         self._timer_armed_at = self.sim.now
-        self._timer = self.sim.schedule_timer(duration, self._on_timer,
-                                              self._progress_stamp)
+        self._timer = self.sim.rearm(timer, duration, self._on_timer,
+                                     self._progress_stamp)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
-            self._timer = None
 
     def _sample_timeout(self) -> int:
         rnic = self.qp.rnic
@@ -676,7 +679,6 @@ class Requester:
         return self.sim.jitter(base, profile.timeout_jitter)
 
     def _on_timer(self, stamp_at_arm: int) -> None:
-        self._timer = None
         if not self.wqes or self.state != STATE_NORMAL:
             return
         if self._progress_stamp != stamp_at_arm:
@@ -705,16 +707,10 @@ class Requester:
 
     def quiesce(self) -> None:
         """Cancel every armed timer (error entry / QP reset)."""
-        self._cancel_timer()
-        if self._rnr_timer is not None:
-            self._rnr_timer.cancel()
-            self._rnr_timer = None
-        if self._blind_timer is not None:
-            self._blind_timer.cancel()
-            self._blind_timer = None
-        if self._fault_raise_timer is not None:
-            self._fault_raise_timer.cancel()
-            self._fault_raise_timer = None
+        for timer in (self._timer, self._rnr_timer, self._blind_timer,
+                      self._fault_raise_timer):
+            if timer is not None:
+                timer.cancel()
 
     def flush_on_error(self) -> None:
         """ERROR-state entry: flush the send queue with WR_FLUSH_ERR.

@@ -42,7 +42,9 @@ _PSN_HALF = _PSN_SPACE >> 1
 # ``Enum.MEMBER`` attribute load costs ~100 ns, a global ~10 ns.
 _QP_ERROR = QpState.ERROR
 _READ_REQUEST = Opcode.RDMA_READ_REQUEST
-_REMOTE_READ = Access.REMOTE_READ
+_REMOTE_READ = Access.REMOTE_READ.value
+_REMOTE_WRITE = Access.REMOTE_WRITE.value
+_REMOTE_ATOMIC = Access.REMOTE_ATOMIC.value
 _READ_ONLY = Opcode.RDMA_READ_RESPONSE_ONLY
 _READ_FIRST = Opcode.RDMA_READ_RESPONSE_FIRST
 _READ_MIDDLE = Opcode.RDMA_READ_RESPONSE_MIDDLE
@@ -241,7 +243,7 @@ class Responder:
         if starting:
             reth = packet.reth
             mr = self._validate(reth.rkey, reth.vaddr, reth.dma_length,
-                                Access.REMOTE_WRITE)
+                                _REMOTE_WRITE)
             if mr is None:
                 self._send_fatal_nak(Syndrome.NAK_REMOTE_ACCESS_ERR, packet.psn)
                 return
@@ -315,7 +317,7 @@ class Responder:
 
     def _execute_atomic(self, packet: Packet) -> None:
         reth = packet.reth
-        mr = self._validate(reth.rkey, reth.vaddr, 8, Access.REMOTE_ATOMIC)
+        mr = self._validate(reth.rkey, reth.vaddr, 8, _REMOTE_ATOMIC)
         if mr is None:
             self._send_fatal_nak(Syndrome.NAK_REMOTE_ACCESS_ERR, packet.psn)
             return
@@ -403,13 +405,19 @@ class Responder:
             self._flaw_drop_until = self.sim.now + window
 
     def _validate(self, rkey: int, addr: int, size: int,
-                  needed: Access) -> Optional["MemoryRegion"]:
+                  needed: int) -> Optional["MemoryRegion"]:
+        """The live MR ``rkey`` names if it covers the range and grants
+        ``needed`` (an ``Access`` value mask), else None."""
         mr = self.qp.rnic._mrs_by_rkey.get(rkey)  # noqa: SLF001
         if mr is None or mr.deregistered:
             return None
-        if not mr.contains(addr, size):
+        span = mr.span
+        if span is None:
+            if not mr.vm.is_mapped(addr, size):
+                return None
+        elif addr < span[0] or addr + size > span[1]:
             return None
-        if needed not in mr.access:
+        if mr.access_bits & needed != needed:
             return None
         return mr
 

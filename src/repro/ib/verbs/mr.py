@@ -52,6 +52,13 @@ class MemoryRegion:
         self.region = region
         self.access = access
         self.mode = mode
+        #: Fixed at registration, so resolved once to plain values for
+        #: the responder's per-request check: ``access`` as an int mask,
+        #: ``[addr, addr + length)`` (None for an implicit region, which
+        #: spans whatever the address space maps).
+        self.access_bits = access.value
+        self.span = (None if mode is OdpMode.IMPLICIT
+                     else (region.base, region.base + region.size))
         self.handle = next(_mr_handles)
         self.lkey = next(_keys)
         self.rkey = next(_keys)
@@ -74,9 +81,10 @@ class MemoryRegion:
 
     def contains(self, addr: int, size: int) -> bool:
         """True when ``[addr, addr+size)`` falls inside the region."""
-        if self.mode is OdpMode.IMPLICIT:
+        span = self.span
+        if span is None:
             return self.vm.is_mapped(addr, size)
-        return self.addr <= addr and addr + size <= self.addr + self.length
+        return span[0] <= addr and addr + size <= span[1]
 
     def pages_of_range(self, addr: int, size: int) -> List[int]:
         """Page indices of an absolute address range."""

@@ -13,6 +13,10 @@ from repro.ib.verbs.enums import QpState
 from repro.ib.verbs.wr import RecvRequest, Sge, WorkRequest
 from repro.sim.timebase import US
 
+#: Bound once: ``handle_packet`` tests them on every inbound packet.
+_RTS = QpState.RTS
+_RTR = QpState.RTR
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ib.verbs.cq import CompletionQueue
     from repro.ib.verbs.pd import ProtectionDomain
@@ -190,7 +194,7 @@ class QueuePair:
         """RNIC dispatch: requests go to the responder, responses and
         acknowledgements to the requester."""
         state = self.state
-        if state is not QpState.RTS and state is not QpState.RTR:
+        if state is not _RTS and state is not _RTR:
             # A RESET/INIT/ERROR QP silently discards inbound packets
             # (real HCAs answer nothing for a QP that is not at least
             # RTR; the peer recovers via timeout).

@@ -321,11 +321,9 @@ class Network:
         observers (end of run; see
         :meth:`repro.host.cluster.Cluster.release`).
 
-        Port and link counters, ``drops`` and ``chaos`` stay readable.
-        An installed chaos engine and this network keep their links to
-        each other (``drop_log`` reads ``drops``, the counters read
-        ``chaos.stats``), so a chaos cell is the one cell left to the
-        cyclic collector.
+        Port and link counters, ``drops`` and ``chaos`` stay readable;
+        an installed chaos engine forgets the cell instead
+        (:meth:`repro.chaos.engine.ChaosEngine.release`).
         """
         self.devices.clear()
         self.switch.on_drop = None
@@ -334,6 +332,8 @@ class Network:
         self._taps.clear()
         self._tap_meta.clear()
         self.clear_loss_rules()
+        if self.chaos is not None:
+            self.chaos.release()
 
     # ------------------------------------------------------------------
 

@@ -11,12 +11,10 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.future import Future, all_of
 from repro.sim.process import Process
 from repro.sim.timebase import NS, US, MS, SEC, ns_to_ms, ns_to_s, ns_to_us
-from repro.sim.timerwheel import TimerWheel
 
 __all__ = [
     "Event",
     "Simulator",
-    "TimerWheel",
     "Future",
     "all_of",
     "Process",

@@ -13,15 +13,17 @@ through this loop):
   as bare ``(time, seq, fn, args)`` tuples — no per-event object, no
   handle; ``seq`` is unique, so every push/pop comparison is a C-level
   tuple compare that never reaches ``fn``;
-* cancellation lives only in the timer class: transport timeouts, RNR
-  waits, blind-retransmit ticks and chaos-tracked link deliveries are
-  armed with :meth:`~Simulator.schedule_timer` / :meth:`~Simulator.timer_at`
-  and get a cancellable :class:`Event` in a hierarchical timer wheel
-  (:mod:`repro.sim.timerwheel`) with O(1) arm/cancel.  Just before
-  coming due a timer is promoted into the heap as
-  ``(time, seq, None, event)`` — firing order stays exactly
-  ``(time, seq)`` — and only those entries are checked for
-  cancellation when popped;
+* cancellation lives only in the timer class (transport timeouts, RNR
+  waits, blind ticks, chaos-tracked link deliveries): a cancellable
+  :class:`Event` filed in the same heap as ``(time, seq, None, event)``;
+* :meth:`~Simulator.rearm` moves a timer's deadline in place, with the
+  ``seq`` a cancel-then-arm would allocate.  A deadline no earlier than
+  the event's heap entry leaves the entry be: when it surfaces early it
+  is pushed again at the real ``(time, seq)``, moving no clock and
+  counting no event.  An earlier one pushes a fresh entry and leaves
+  the old one dead;
+* dead entries are dropped as they surface; once more than
+  :data:`COMPACT_MIN` make up over half the heap it is rebuilt;
 * :meth:`Simulator.run` folds its ``until``/``max_events`` limits into
   integer bounds once and keeps the clock in a plain attribute.
 """
@@ -31,18 +33,23 @@ from __future__ import annotations
 import heapq
 import random
 from collections import namedtuple
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.sim.timerwheel import TimerWheel
 
 _heappush = heapq.heappush
 
 #: ``run`` bound standing in for "no ``until``" / "no ``max_events``".
 _UNBOUNDED = 1 << 62
 
+#: Dead heap entries tolerated before the heap is rebuilt without them
+#: (and only once they are more than half of it: amortised O(1)).
+COMPACT_MIN = 64
+
 #: Read-only view of a plain heap entry, as the probes hand it out: the
 #: same ``.time/.seq/.fn/.args`` surface a timer :class:`Event` has.
 PlainEvent = namedtuple("PlainEvent", "time seq fn args")
+
+_time_seq = attrgetter("time", "seq")
 
 
 class SimulationError(RuntimeError):
@@ -50,41 +57,45 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A cancellable scheduled callback: a *timer*.
+    """A cancellable, re-armable scheduled callback: a *timer*.
 
-    Created by :meth:`Simulator.schedule_timer` / :meth:`Simulator.timer_at`.
-    A cancelled timer is skipped rather than fired.
+    ``time``/``seq`` are its real deadline.  Its one live heap entry is
+    keyed ``(_htime, _hseq)``, never later than that; any other entry
+    that points at the event is dead.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_home")
+    __slots__ = ("time", "seq", "fn", "args", "_sim", "_htime", "_hseq")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: tuple, home: Any = None):
-        self.time = time
-        self.seq = seq
+                 args: tuple, sim: "Simulator"):
+        self.time = self._htime = time
+        self.seq = self._hseq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = False
-        #: Simulator (heap-resident) or TimerWheel (wheel-resident); the
-        #: owner keeps the live-event accounting when we are cancelled.
-        self._home = home
+        #: The owning simulator while pending; None once fired or
+        #: cancelled.
+        self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self.cancelled or self.fn is None:
+        """Prevent the event from firing.  Idempotent, and a no-op once
+        the event has fired.  Drops the callback and its arguments."""
+        sim = self._sim
+        if sim is None:
             return  # already cancelled or already fired
-        self.cancelled = True
-        home = self._home
-        if home is not None:
-            home._note_cancel()
+        self._sim = None
+        self._hseq = 0  # its heap entry is dead now
+        self.fn = None
+        self.args = ()
+        sim._pending -= 1
+        sim._bury()
 
     @property
     def pending(self) -> bool:
         """True while the event has neither fired nor been cancelled."""
-        return not self.cancelled and self.fn is not None
+        return self._sim is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self._sim is not None else "done"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time} {name} {state}>"
 
@@ -105,11 +116,11 @@ class Simulator:
         self.now: int = 0
         self._seq: int = 0
         #: ``(time, seq, fn, args)`` plain entries and
-        #: ``(time, seq, None, event)`` promoted timers.
+        #: ``(time, seq, None, event)`` timer entries.
         self._queue: List[tuple] = []
         self._fired: int = 0
-        self._pending: int = 0    # live events, heap + wheel
-        self._wheel = TimerWheel(self)
+        self._pending: int = 0    # live events
+        self._dead: int = 0       # dead timer entries still in the heap
         self.rng = random.Random(seed)
         self.seed = seed
         #: Macro-event accounting (storm coalescing): per-packet events
@@ -126,8 +137,8 @@ class Simulator:
     def events_fired(self) -> int:
         """Number of events executed so far (a cheap progress metric).
 
-        Cancelled timers are skipped silently and never counted, by
-        ``step`` and ``run`` alike.
+        Dead and re-filed timer entries are never counted, by ``step``
+        and ``run`` alike.
         """
         return self._fired
 
@@ -172,25 +183,19 @@ class Simulator:
     def schedule_timer(self, delay: int, fn: Callable[..., Any],
                        *args: Any) -> Event:
         """Schedule a cancellable *timer*: an event that will very likely
-        be cancelled and re-armed before it fires (transport timeouts,
+        be cancelled or re-armed before it fires (transport timeouts,
         RNR waits, retransmit ticks).
 
-        Timers live in the hierarchical timer wheel — O(1) to arm and
-        cancel — instead of the main heap, but fire at exactly the same
-        ``(time, seq)`` position a :meth:`schedule` call would have.
+        The timer is a ``(time, seq, None, event)`` heap entry and fires
+        at exactly the ``(time, seq)`` position a :meth:`schedule` call
+        would have.  Its handle can be re-armed with :meth:`rearm`.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        self._seq += 1
-        event = Event(self.now + int(delay), self._seq, fn, args)
-        self._pending += 1
-        self._wheel.insert(event)
-        return event
+        return self.rearm(None, delay, fn, *args)
 
     def timer_at(self, time: int, fn: Callable[..., Any],
                  *args: Any) -> Event:
         """Arm a timer at an absolute timestamp (:meth:`at`'s contract,
-        :meth:`schedule_timer`'s wheel residency and handle).
+        :meth:`schedule_timer`'s handle, re-armable by :meth:`rearm`).
 
         A link under chaos arms each tracked in-flight delivery this way,
         so that taking the link down can cancel it.
@@ -199,40 +204,62 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self.now}"
             )
-        self._seq += 1
-        event = Event(int(time), self._seq, fn, args)
-        self._pending += 1
-        self._wheel.insert(event)
-        return event
+        return self.rearm(None, int(time) - self.now, fn, *args)
+
+    def rearm(self, timer: Optional[Event], delay: int,
+              fn: Callable[..., Any], *args: Any) -> Event:
+        """Re-arm ``timer`` (pending, fired or cancelled; None for a new
+        handle) to run ``fn(*args)`` ``delay`` ns from now; returns it.
+
+        Exactly ``timer.cancel()`` then ``schedule_timer(delay, fn,
+        *args)``, the same ``seq`` included, with the handle reused.  A
+        deadline no earlier than the timer's heap entry keeps that entry
+        (re-filed when it surfaces); an earlier one leaves it dead.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        self._seq = seq = self._seq + 1
+        time = self.now + int(delay)
+        if timer is None:
+            timer = Event(time, seq, fn, args, self)
+            self._pending += 1
+            _heappush(self._queue, (time, seq, None, timer))
+            return timer
+        timer.time = time
+        timer.seq = seq
+        timer.fn = fn
+        timer.args = args
+        pending = timer._sim is not None
+        if pending and time >= timer._htime:
+            return timer  # the entry surfaces first and is re-filed
+        timer._htime = time
+        timer._hseq = seq
+        _heappush(self._queue, (time, seq, None, timer))
+        if pending:
+            self._bury()  # the old entry is superseded
+        else:  # fired or cancelled: armed afresh
+            timer._sim = self
+            self._pending += 1
+        return timer
 
     # ------------------------------------------------------------------
     # Timer bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_cancel(self) -> None:
-        """A heap-resident timer was cancelled (called by Event.cancel);
-        its dead entry is dropped when it surfaces."""
-        self._pending -= 1
-
-    def _promote_due(self) -> None:
-        """Pull wheel timers that may fire at or before the heap head
-        into the heap, so the pop order is globally ``(time, seq)``."""
+    def _bury(self) -> None:
+        """Count one more dead timer entry; rebuild the heap without
+        them once more than :data:`COMPACT_MIN` make up over half of
+        it."""
+        self._dead = dead = self._dead + 1
         queue = self._queue
-        wheel = self._wheel
-
-        def push(entry, _push=heapq.heappush, _queue=queue):
-            _push(_queue, entry)
-
-        while wheel._live:
-            if queue:
-                limit = queue[0][0]
-            else:
-                limit = wheel.next_deadline()
-                if limit is None:
-                    return
-            wheel.promote_until(limit, push)
-            if queue and queue[0][0] < wheel._next:
-                return
+        if dead > COMPACT_MIN and 2 * dead > len(queue):
+            # In place: ``run`` holds the list.  Pop order depends only
+            # on the unique ``(time, seq)`` keys, so any valid heap of
+            # the same entries fires identically.
+            queue[:] = [entry for entry in queue
+                        if entry[2] is not None or entry[1] == entry[3]._hseq]
+            heapq.heapify(queue)
+            self._dead = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -241,31 +268,13 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.
 
-        Returns ``False`` when no live events remain.  Cancelled timers
-        are discarded silently and do not count as a step.
+        Returns ``False`` when no live events remain.  Dead timer
+        entries are discarded and re-armed ones re-filed silently; they
+        do not count as a step.
         """
-        queue = self._queue
-        wheel = self._wheel
-        pop = heapq.heappop
-        while True:
-            if wheel._live and (not queue or queue[0][0] >= wheel._next):
-                self._promote_due()
-            if not queue:
-                return False
-            time, _seq, fn, args = pop(queue)
-            if fn is None:  # a promoted timer
-                event = args
-                if event.cancelled:
-                    continue
-                fn, args = event.fn, event.args
-                event.fn = None  # mark fired, release references
-                event.args = ()
-                event._home = None
-            self.now = time
-            self._fired += 1
-            self._pending -= 1
-            fn(*args)
-            return True
+        fired = self._fired
+        self.run(max_events=1)
+        return self._fired != fired
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue empties, ``until`` is reached, or
@@ -273,30 +282,34 @@ class Simulator:
 
         With ``until`` set, the clock is advanced to exactly ``until``
         even if the last event fires earlier (mirroring "run for this
-        long").  ``max_events`` counts executed events only — silently
-        skipped cancelled timers do not consume budget, keeping the
-        accounting consistent with :meth:`step` and :attr:`events_fired`.
+        long").  ``max_events`` counts executed events only — dead and
+        re-filed timer entries consume no budget, keeping the accounting
+        consistent with :meth:`step` and :attr:`events_fired`.
         """
         queue = self._queue
-        wheel = self._wheel
         pop = heapq.heappop
+        push = _heappush
         limit = _UNBOUNDED if until is None else until
         budget = _UNBOUNDED if max_events is None else max_events
         fired = 0
         while fired < budget:
-            if wheel._live and (not queue or queue[0][0] >= wheel._next):
-                self._promote_due()
             if not queue or queue[0][0] > limit:
                 break
-            time, _seq, fn, args = pop(queue)
-            if fn is None:  # a promoted timer
+            time, seq, fn, args = pop(queue)
+            if fn is None:  # a timer entry
                 event = args
-                if event.cancelled:
+                if seq != event._hseq:  # dead
+                    self._dead -= 1
+                    continue
+                if seq != event.seq:  # re-armed later: re-file
+                    event._htime = event.time
+                    event._hseq = event.seq
+                    push(queue, (event.time, event.seq, None, event))
                     continue
                 fn, args = event.fn, event.args
                 event.fn = None  # mark fired, release references
                 event.args = ()
-                event._home = None
+                event._sim = None
             self.now = time
             fired += 1
             self._pending -= 1
@@ -316,15 +329,15 @@ class Simulator:
         return self.now
 
     def release(self) -> None:
-        """Drop whatever the heap and the timer wheel still hold.
+        """Drop whatever the heap still holds.
 
         Called once a run's outputs have been read (see
         :meth:`repro.host.cluster.Cluster.release`): leftover entries
-        are cancelled timers whose callbacks point back into the cell.
-        The clock and every counter stay readable.
+        are dead or unfired timers whose callbacks point back into the
+        cell.  The clock and every counter stay readable.
         """
         self._queue.clear()
-        self._wheel.release()
+        self._dead = 0
 
     def pending_events(self) -> int:
         """Number of live (scheduled, not yet fired or cancelled) events.
@@ -339,56 +352,71 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def quiet_until(self, limit: int) -> bool:
-        """True iff no live event (heap or wheel) fires at or before
-        ``limit``.
+        """True iff no live event fires at or before ``limit``.
 
         This is the global eligibility gate for applying a steady-state
         storm round as a single macro-event: any pending completion,
         timer, packet hop, or posting step that could interleave with the
         round is a live event inside the window, so a quiet window
         guarantees the closed-form synthesis replays exactly what the
-        per-event cascade would have done.  Cancelled timers at the heap
-        head are popped in passing (same bookkeeping as the run loop).
+        per-event cascade would have done.  Like the run loop, it drops
+        dead entries at the heap head and re-files re-armed ones.
         """
         queue = self._queue
         while queue:
             head = queue[0]
-            if head[2] is None and head[3].cancelled:
-                heapq.heappop(queue)
-                continue
-            if head[0] <= limit:
-                return False
-            break
-        wheel = self._wheel
-        if wheel._live and wheel._next <= limit:
-            # The cached bound is conservative (never above the true
-            # earliest slot start); resolve it with an exact probe.
-            return wheel.earliest_until(limit) is None
+            if head[2] is None:
+                event = head[3]
+                seq = head[1]
+                if seq != event._hseq:  # dead
+                    heapq.heappop(queue)
+                    self._dead -= 1
+                    continue
+                if seq != event.seq:  # re-armed later: re-file
+                    event._htime = event.time
+                    event._hseq = event.seq
+                    heapq.heapreplace(queue,
+                                      (event.time, event.seq, None, event))
+                    continue
+            return head[0] > limit
         return True
 
     def live_events_until(self, limit: int) -> List[Any]:
-        """Every live event (heap or wheel) firing at or before ``limit``.
+        """Every live event firing at or before ``limit``, in firing
+        ``(time, seq)`` order.
 
         The storm coalescer's refined eligibility gate: a round whose
         span is not fully quiet may still be synthesised exactly when
         every event inside the span is provably non-interacting (e.g.
         another stale QP's blind tick landing after the round's last
         shared-resource touch).  The caller inspects each event's
-        ``.time/.seq/.fn/.args`` to decide.  Timers come back as their
+        ``.time/.seq/.fn/.args`` to decide: timers as their
         :class:`Event` handles, plain entries as :class:`PlainEvent`
-        views.  Unordered; cancelled timers are skipped (heap entries
-        are left in place — this is a read-only probe).
+        views.  Read-only; it visits only heap nodes keyed at or before
+        ``limit``, since no subtree is earlier than its root.
         """
+        queue = self._queue
         events: List[Any] = []
-        for entry in self._queue:
-            if entry[0] <= limit:
-                if entry[2] is not None:
-                    events.append(PlainEvent._make(entry))
-                elif not entry[3].cancelled:
-                    events.append(entry[3])
-        wheel = self._wheel
-        if wheel._live and wheel._next <= limit:
-            events.extend(wheel.events_until(limit))
+        if not queue or queue[0][0] > limit:
+            return events
+        size = len(queue)
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            entry = queue[index]
+            if entry[2] is not None:
+                events.append(PlainEvent._make(entry))
+            else:
+                event = entry[3]
+                if entry[1] == event._hseq and event.time <= limit:
+                    events.append(event)
+            child = 2 * index + 1
+            if child < size and queue[child][0] <= limit:
+                stack.append(child)
+            child += 1
+            if child < size and queue[child][0] <= limit:
+                stack.append(child)
+        events.sort(key=_time_seq)
         return events
 
     def note_coalesced(self, events: int, span_ns: int) -> None:
@@ -435,4 +463,4 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self.now}ns queue={len(self._queue)}"
-                f" wheel={self._wheel._live}>")
+                f" dead={self._dead}>")

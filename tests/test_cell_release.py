@@ -15,10 +15,13 @@ from repro.apps.spark.benchmark import _run_once
 from repro.apps.spark.workloads import SPARK_CELLS
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 from repro.capture.sniffer import Sniffer
+from repro.chaos.engine import ChaosEngine
+from repro.chaos.plan import ChaosPlan, FaultKind, FaultWindow
 from repro.host.cluster import Cluster
 from repro.ib.validate import InvariantMonitor
 from repro.service import ServiceCellConfig, run_cell
 from repro.service.interference import noisy_neighbor_mix
+from repro.sim.timebase import MS
 from repro.telemetry import Telemetry
 from repro.telemetry.counters import collect_counters
 
@@ -29,8 +32,9 @@ def top_down_reads(cluster):
                 for node in cluster.nodes
                 for _qpn, qp in sorted(node.rnic._qps.items())
                 if hasattr(qp, "coalescer")]
+    chaos = cluster.network.chaos
     return (collect_counters(cluster).items(), cluster.total_packets(),
-            declines)
+            declines, None if chaos is None else chaos.drop_log())
 
 
 @pytest.fixture
@@ -142,3 +146,30 @@ def test_spark_group_run_leaves_no_cycles(released):
         assert out["completions"]
 
     assert run_without_gc(clusters, before, run) == 0
+
+
+#: A 50% drop window, and a link flap that drains tracked deliveries.
+CHAOS_WINDOWS = {
+    "drop": FaultWindow(0, 2 * MS, FaultKind.DROP, probability=0.5),
+    "flap": FaultWindow(MS // 2, MS, FaultKind.LINK_FLAP, lids=(1,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHAOS_WINDOWS))
+def test_chaos_cell_leaves_no_cycles(released, kind):
+    """The chaos engine and the network it faults point at each other;
+    release cuts that too, and its drop log stays readable."""
+    clusters, before = released
+
+    def install(cluster):
+        ChaosEngine(cluster, ChaosPlan([CHAOS_WINDOWS[kind]]),
+                    seed=1).install()
+
+    def run():
+        run_microbench(MicrobenchConfig(
+            num_ops=64, num_qps=8, odp=OdpSetup.CLIENT, cack=18,
+            integrity=False, seed=3), on_cluster=install)
+
+    assert run_without_gc(clusters, before, run) == 0
+    (reads,) = before
+    assert reads[3], "the window dropped nothing"

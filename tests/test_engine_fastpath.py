@@ -1,29 +1,28 @@
-"""Engine semantics under the bare-tuple heap fast path and the timer
-wheel.
+"""Engine semantics under the bare-tuple heap fast path and the
+re-armable timer.
 
-The contract being pinned down: ``schedule_timer`` (hierarchical wheel,
-cancellable handle) and ``schedule`` (main heap, fire-and-forget) are
-bit-for-bit interchangeable in firing order — same ``(time, seq)``
-positions, same counters — and cancellation hygiene (wheel sweeps,
-dead promoted timers) never changes observable behaviour.
+The contract being pinned down: ``schedule_timer`` (cancellable,
+re-armable handle) and ``schedule`` (fire-and-forget) are bit-for-bit
+interchangeable in firing order — same ``(time, seq)`` positions, same
+counters — and heap hygiene (dead entries, re-filed re-armed entries,
+compaction) never changes observable behaviour.
 """
 
+import heapq
 import random
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
-from repro.sim.timerwheel import LEVEL_SHIFTS
+from repro.sim.engine import COMPACT_MIN, Event, SimulationError, Simulator
 from tests.seed_engine import SeedSimulator
 
-#: Beyond every wheel level's horizon: a timer this far out is armed
-#: straight into the main heap (heap-resident from the start).
-BEYOND_WHEEL = 1 << (LEVEL_SHIFTS[-1] + 10)
+#: A deadline minutes out, far beyond any transport timer.
+FAR = 1 << 50
 
 
 class TestFastPathSemantics:
     def test_same_timestamp_fifo_across_heap_and_wheel(self):
-        """Heap events and wheel timers at one timestamp interleave in
+        """Plain events and timers at one timestamp interleave in
         scheduling (seq) order."""
         sim = Simulator()
         order = []
@@ -41,6 +40,7 @@ class TestFastPathSemantics:
             sim.schedule_timer(-5, lambda: None)
 
     def test_at_in_the_past_rejected_after_wheel_run(self):
+        """A run that only fired timers still advanced the clock."""
         sim = Simulator()
         sim.schedule_timer(100, lambda: None)
         sim.run_until_idle()
@@ -59,8 +59,9 @@ class TestFastPathSemantics:
 
     def test_cancel_is_idempotent_in_counters(self):
         sim = Simulator()
-        event = sim.schedule_timer(BEYOND_WHEEL, lambda: None)  # heap
-        timer = sim.schedule_timer(10, lambda: None)  # wheel
+        event = sim.schedule_timer(FAR, lambda: None)
+        timer = sim.schedule_timer(10, lambda: None)
+        sim.rearm(timer, 20, lambda: None)  # a re-filed entry
         for _ in range(3):
             event.cancel()
             timer.cancel()
@@ -76,22 +77,33 @@ class TestFastPathSemantics:
 
 
 class TestCompaction:
-    def test_wheel_sweep_drops_corpses(self):
-        """Churned-and-cancelled timers are reclaimed in bulk and the
-        surviving timer still fires on time."""
+    #: A live timer plus the dead entries compaction tolerates beside it.
+    BOUND = 2 * (COMPACT_MIN + 1)
+
+    @pytest.mark.parametrize("churn", ["cancel", "earlier", "later"])
+    def test_churn_leaves_bounded_heap(self, churn):
+        """1,000 cancel or re-arm cycles leave a bounded heap, and the
+        surviving timer still fires once, on time."""
         sim = Simulator()
         fired = []
-        pending = None
-        for _ in range(1_000):
-            if pending is not None:
-                pending.cancel()
-            pending = sim.schedule_timer(500_000_000, fired.append, "late")
-        wheel = sim._wheel
-        assert wheel._live == 1
-        assert wheel._cancelled <= wheel._live + 64 + 1
+        timer = None
+        for step in range(1_000):
+            delay = 500_000_000 + (1_000 - step if churn == "earlier"
+                                   else step)
+            if churn == "cancel":
+                if timer is not None:
+                    timer.cancel()
+                timer = sim.schedule_timer(delay, fired.append, "late")
+            else:
+                timer = sim.rearm(timer, delay, fired.append, "late")
+            assert len(sim._queue) <= self.BOUND
+        if churn == "later":
+            assert len(sim._queue) == 1  # one entry, re-filed in place
+        assert sim.pending_events() == 1
         sim.run_until_idle()
         assert fired == ["late"]
-        assert sim.now == 500_000_000
+        assert sim.now == delay
+        assert sim.events_fired == 1
 
 
 class TestAccounting:
@@ -99,8 +111,8 @@ class TestAccounting:
         sim = Simulator()
         for i in range(5):
             sim.schedule(10 + i, lambda: None)
-        events = [sim.schedule_timer(BEYOND_WHEEL + i, lambda: None)
-                  for i in range(5)]  # heap-resident timers
+        events = [sim.schedule_timer(FAR + i, lambda: None)
+                  for i in range(5)]
         timers = [sim.schedule_timer(10_000_000, lambda: None)
                   for _ in range(5)]
         assert sim.pending_events() == 15
@@ -153,10 +165,37 @@ class TestAccounting:
             sim.run_until_idle(max_events=100)
 
 
+class _Oracle(SeedSimulator):
+    """The seed engine plus the two calls the script makes, in its own
+    terms: a re-arm is cancel-then-arm, and ``run(until)`` steps while
+    the earliest live event is due."""
+
+    def rearm(self, timer, delay, fn, *args):
+        if timer is not None:
+            timer.cancel()
+        return self.schedule_timer(delay, fn, *args)
+
+    def run(self, until):
+        queue = self._queue
+        while queue:
+            if queue[0].cancelled:
+                heapq.heappop(queue)
+            elif queue[0].time > until:
+                break
+            else:
+                self.step()
+        self._now = max(self._now, until)
+        return self._now
+
+
 def _random_script(seed: int, sim):
-    """Drive ``sim`` with a seeded schedule/cancel/nest script — plain
-    events via ``schedule``, cancellable "timers" via ``schedule_timer``
-    — and log the firings.  Only timer handles are ever cancelled.
+    """Drive ``sim`` with a seeded schedule/cancel/re-arm/nest script —
+    plain events via ``schedule``, cancellable "timers" via
+    ``schedule_timer`` and ``rearm`` — and log the firings.  Only timer
+    handles are ever cancelled or re-armed; a re-arm may move a pending
+    timer later or earlier, or revive a cancelled or fired handle.
+    The run stops at seeded ``until`` bounds on its way, one of them
+    between a re-armed timer's first entry and its real deadline.
 
     The script's randomness is consumed in firing order, so two runs
     diverge immediately if ordering differs at all.
@@ -166,39 +205,61 @@ def _random_script(seed: int, sim):
     fired = []
     handles = []
 
+    def rearm_some(count):
+        for _ in range(count):
+            index = rng.randrange(len(handles))
+            handle = handles[index]
+            left = max(1, handle.time - sim.now)
+            if rng.random() < 0.5:
+                delay = rng.randrange(0, left)  # earlier (or revived)
+            else:
+                delay = left + rng.randrange(0, 1 << 22)  # later
+            handles[index] = sim.rearm(handle, delay, fire,
+                                       rng.randrange(5_000, 6_000))
+
     def fire(tag):
         fired.append((sim.now, tag))
         if rng.random() < 0.45 and len(fired) < 600:
-            # nested re-arm, spanning several wheel levels
-            delay = rng.randrange(0, 1 << (LEVEL_SHIFTS[2] + 2))
+            delay = rng.randrange(0, 1 << 34)
             handles.append(arm(delay, fire, tag + 1_000))
         if handles and rng.random() < 0.5:
             handles[rng.randrange(len(handles))].cancel()
+        if handles and rng.random() < 0.4 and len(fired) < 900:
+            # bursts of earlier re-arms pile up dead entries: compaction
+            rearm_some(rng.choice((1, 1, 2, 40)))
 
+    deferred = arm(1 << 20, fire, -1)
+    handles.append(sim.rearm(deferred, 1 << 21, fire, -2))
     for tag in range(150):
-        delay = rng.randrange(0, 1 << (LEVEL_SHIFTS[1] + 6))
+        delay = rng.randrange(0, 1 << 30)
         if rng.random() < 0.5:
             handles.append(arm(delay, fire, tag))
         else:
             sim.schedule(delay, fire, tag)
+    # Stops between the deferred entry (2^20) and its deadline (2^21).
+    fired.append(("stop", sim.run(until=3 << 19)))
+    for _ in range(4):
+        until = sim.now + rng.randrange(0, 1 << 31)
+        fired.append(("stop", sim.run(until=until)))
     sim.run_until_idle()
     return fired
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_timerwheel_heap_equivalence(seed):
-    """Property-style: a random schedule/cancel/nest script fires the
-    identical sequence on the engine (timers in the wheel, plain events
-    as bare heap tuples) and on the seed engine's single object heap."""
+    """Property-style: a random schedule/cancel/re-arm/nest script fires
+    the identical sequence on the engine (timers re-armed in place,
+    plain events as bare heap tuples) and on the seed engine's single
+    object heap, where a re-arm is a cancel and a fresh timer."""
     assert _random_script(seed, Simulator(seed=0)) == \
-        _random_script(seed, SeedSimulator(seed=0))
+        _random_script(seed, _Oracle(seed=0))
 
 
 def test_plain_events_are_bare_heap_entries():
     """``schedule``/``at``/``call_soon`` hand back no handle and push the
-    callable itself; a plain event, a promoted timer and a promoted-then-
-    cancelled timer sharing one timestamp still fire in ``seq`` order
-    with exact counters."""
+    callable itself; a timer is a ``(time, seq, None, event)`` entry.  A
+    plain event, a timer and a cancelled timer sharing one timestamp
+    still fire in ``seq`` order with exact counters."""
     sim = Simulator()
     fired = []
     log = fired.append
@@ -208,16 +269,17 @@ def test_plain_events_are_bare_heap_entries():
     assert sim.at(1_000, log, "at") is None                 # seq 4
     assert sim.call_soon(log, "soon") is None               # seq 5, t=0
     assert sorted(entry[:3] for entry in sim._queue) == [
-        (0, 5, log), (1_000, 1, log), (1_000, 4, log)]
+        (0, 5, log), (1_000, 1, log), (1_000, 2, None), (1_000, 3, None),
+        (1_000, 4, log)]
+    assert [entry[3] for entry in sim._queue if entry[2] is None] \
+        in ([timer, doomed], [doomed, timer])
     assert not any(isinstance(item, Event)
-                   for entry in sim._queue for item in entry)
+                   for entry in sim._queue if entry[2] is not None
+                   for item in entry)
     assert sim.pending_events() == 5
 
-    assert sim.step()  # fires "soon"; both timers are promoted with it
+    assert sim.step()  # fires "soon"
     assert fired == ["soon"]
-    promoted = [entry[3] for entry in sim._queue if entry[2] is None]
-    assert len(promoted) == 2
-    assert timer in promoted and doomed in promoted
     doomed.cancel()
     doomed.cancel()
     assert sim.pending_events() == 3
@@ -228,24 +290,25 @@ def test_plain_events_are_bare_heap_entries():
     assert sim.pending_events() == 0
     assert sim.now == 1_000
     assert not timer.pending and not doomed.pending
+    assert sim._queue == []
 
 
 def test_wheel_promotion_is_exact_far_future():
-    """A timer beyond every wheel level still fires at its exact time,
-    ordered against heap neighbours."""
+    """A timer minutes out still fires at its exact time, ordered
+    against plain neighbours."""
     sim = Simulator()
-    far = 1 << (LEVEL_SHIFTS[-1] + 10)  # beyond the top level's horizon
     order = []
-    sim.schedule_timer(far, order.append, "wheel")
-    sim.schedule(far, order.append, "heap")
-    sim.schedule(far - 1, order.append, "before")
+    sim.schedule_timer(FAR, order.append, "wheel")
+    sim.schedule(FAR, order.append, "heap")
+    sim.schedule(FAR - 1, order.append, "before")
     sim.run_until_idle()
     assert order == ["before", "wheel", "heap"]
-    assert sim.now == far
+    assert sim.now == FAR
 
 
 def test_wheel_only_simulation_advances_clock():
-    """With an empty heap the engine promotes and fires wheel timers."""
+    """With only timers armed the engine fires them in deadline
+    order."""
     sim = Simulator()
     stamps = []
     for delay in (2_000_000_000, 1_000, 70_000_000):

@@ -8,7 +8,6 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.future import Future, FutureError, all_of
 from repro.sim.process import Process, ProcessError
 from repro.sim.timebase import MS, US, ns_to_ms, ns_to_s, ns_to_us
-from repro.sim.timerwheel import LEVEL_SHIFTS, LEVEL_SPAN
 
 
 class TestScheduling:
@@ -451,27 +450,33 @@ class TestProcess:
 
 
 class TestTimerWheelBoundaries:
-    """Slot-edge and cascade behavior of the hierarchical wheel's
-    read-only probes (``earliest_until`` / ``events_until``).
+    """Deadlines on the slot edges (``k << 16`` ns) and beyond the
+    256-slot span of the hierarchical timer wheel the engine kept before
+    timers moved onto the one heap.
 
-    The fleet fast-forward trusts these probes to classify a quiet
-    window exactly: an event reported one slot early or late would let a
-    sweep absorb a round that a foreign tick should have interrupted.
+    Those were the points where a bucketed structure could report a
+    timer one slot early or late; the heap probes (``quiet_until`` /
+    ``live_events_until``) must answer there by exact deadline, as
+    anywhere else.
     """
 
-    SLOT = 1 << LEVEL_SHIFTS[0]
+    SLOT = 1 << 16
+    LEVEL_SPAN = 256
+
+    @staticmethod
+    def times(sim, limit):
+        return [event.time for event in sim.live_events_until(limit)]
 
     def test_exact_slot_boundary(self):
-        """A timer at exactly ``k << 16`` sits on a slot edge: the probe
-        must report by expiry time, not slot membership."""
+        """A timer at exactly ``k << 16`` is reported by its expiry
+        time, to the nanosecond."""
         sim = Simulator()
         expiry = 4 * self.SLOT
         sim.schedule_timer(expiry, lambda: None)
-        wheel = sim._wheel
-        assert wheel.earliest_until(expiry - 1) is None
-        assert wheel.earliest_until(expiry) == expiry
-        assert wheel.events_until(expiry - 1) == []
-        assert [e.time for e in wheel.events_until(expiry)] == [expiry]
+        assert sim.quiet_until(expiry - 1)
+        assert not sim.quiet_until(expiry)
+        assert sim.live_events_until(expiry - 1) == []
+        assert self.times(sim, expiry) == [expiry]
 
     def test_adjacent_slots(self):
         """Timers one tick apart across a slot edge resolve
@@ -481,70 +486,140 @@ class TestTimerWheelBoundaries:
         above = 7 * self.SLOT
         sim.schedule_timer(below, lambda: None)
         sim.schedule_timer(above, lambda: None)
-        wheel = sim._wheel
-        assert wheel.earliest_until(below) == below
-        assert [e.time for e in wheel.events_until(below)] == [below]
-        assert sorted(e.time for e in wheel.events_until(above)) \
-            == [below, above]
+        assert sim.quiet_until(below - 1)
+        assert not sim.quiet_until(below)
+        assert self.times(sim, below) == [below]
+        assert self.times(sim, above) == [below, above]
+        assert self.times(sim, 1 << 40) == [below, above]
 
     def test_limit_inside_occupied_slot(self):
-        """A limit that lands mid-slot must not surface a later timer
-        filed in the same slot."""
+        """A limit that lands mid-slot, one nanosecond short of a timer
+        in that slot, does not surface it."""
         sim = Simulator()
         expiry = 9 * self.SLOT + 1000
         sim.schedule_timer(expiry, lambda: None)
-        wheel = sim._wheel
-        assert wheel.earliest_until(expiry - 1) is None
-        assert wheel.events_until(9 * self.SLOT + 999) == []
-        assert wheel.earliest_until(expiry) == expiry
+        assert sim.quiet_until(expiry - 1)
+        assert sim.live_events_until(9 * self.SLOT + 999) == []
+        assert not sim.quiet_until(expiry)
+        assert self.times(sim, expiry) == [expiry]
 
     def test_coarse_level_reports_exact_expiry(self):
-        """An event beyond level 0's span files coarsely, but the probes
-        still answer with its exact expiry, not its slot start."""
+        """A deadline far beyond one slot span (the ~0.5 s transport
+        timeout, minutes) is reported and fired at its exact expiry,
+        never rounded to a coarser grain."""
         sim = Simulator()
-        expiry = (LEVEL_SPAN + 10) * self.SLOT + 12345
-        sim.schedule_timer(expiry, lambda: None)
-        wheel = sim._wheel
-        # Filed above level 0: no level-0 slot holds it.
-        assert not wheel._slots[0]
-        assert wheel._slots[1]
-        assert wheel.earliest_until(expiry - 1) is None
-        assert wheel.earliest_until(expiry) == expiry
-        assert [e.time for e in wheel.events_until(expiry)] == [expiry]
+        for expiry in ((self.LEVEL_SPAN + 10) * self.SLOT + 12345,
+                       400_000_000 + 12345, 700_000_000, 1 << 41):
+            sim.timer_at(expiry, lambda: None)
+            assert sim.quiet_until(expiry - 1), expiry
+            assert self.times(sim, expiry - 1) == []
+            assert self.times(sim, expiry) == [expiry]
+            sim.run_until_idle()
+            assert sim.now == expiry
 
-    def test_probes_exact_across_cascade(self):
-        """``promote_until`` re-files a coarse slot into a finer level
-        when the limit passes the slot's start but not the expiry; the
-        probes and the firing time must be unchanged by the cascade."""
+
+class TestTimerProbes:
+    """The read-only probes (``quiet_until`` / ``live_events_until``)
+    report timers by their real deadline, whatever their heap entries
+    say.
+
+    The storm coalescer trusts these probes to classify a quiet window
+    exactly: an event reported one nanosecond early or late would let a
+    round absorb a tick that should have interrupted it.
+    """
+
+    @staticmethod
+    def times(sim, limit):
+        return [event.time for event in sim.live_events_until(limit)]
+
+    def test_rearmed_later_invisible_at_old_deadline(self):
+        """Re-armed later, a timer keeps its old heap entry, yet neither
+        probe sees it before its new deadline."""
         sim = Simulator()
-        expiry = (LEVEL_SPAN + 10) * self.SLOT + 777
+        old, new = 1_000, 5_000
         fired = []
-        sim.schedule_timer(expiry, lambda: fired.append(sim.now))
-        wheel = sim._wheel
-        assert wheel._slots[1] and not wheel._slots[0]
-        promoted = []
-        # Past the level-1 slot's start, short of the expiry: the event
-        # must cascade to level 0, not surface to the heap.
-        wheel.promote_until((LEVEL_SPAN + 2) * self.SLOT,
-                            promoted.append)
-        assert promoted == []
-        assert wheel._slots[0] and not wheel._slots[1]
-        assert wheel.earliest_until(expiry - 1) is None
-        assert wheel.earliest_until(expiry) == expiry
-        assert [e.time for e in wheel.events_until(expiry)] == [expiry]
+        timer = sim.schedule_timer(old, fired.append, "old")
+        assert sim.rearm(timer, new, fired.append, "new") is timer
+        # The read-only probe first, while the stale entry heads the heap.
+        assert sim.live_events_until(old) == []
+        assert self.times(sim, new) == [new]
+        assert sim.quiet_until(old)
+        assert sim.quiet_until(new - 1)
+        assert not sim.quiet_until(new)
+        assert sim.pending_events() == 1
         sim.run_until_idle()
-        assert fired == [expiry]
+        assert fired == ["new"]
+        assert sim.now == new
+        assert sim.events_fired == 1
+
+    def test_rearm_allocates_the_seq_of_a_fresh_timer(self):
+        """A re-arm to the same deadline fires after everything
+        scheduled between the arm and the re-arm, as cancel-then-arm
+        would."""
+        sim = Simulator()
+        order = []
+        timer = sim.schedule_timer(100, order.append, "timer")
+        sim.schedule(100, order.append, "plain")
+        sim.rearm(timer, 100, order.append, "timer")
+        sim.run_until_idle()
+        assert order == ["plain", "timer"]
+
+    def test_rearmed_earlier_fires_at_new_deadline(self):
+        """Re-armed earlier, a timer fires once, at the new deadline;
+        the entry it left behind is dropped without firing."""
+        sim = Simulator()
+        old, new = 5_000, 1_000
+        fired = []
+        timer = sim.schedule_timer(old, fired.append, "old")
+        sim.rearm(timer, new, fired.append, "new")
+        assert self.times(sim, old) == [new]
+        assert not sim.quiet_until(new)
+        assert sim.pending_events() == 1
+        sim.run_until_idle()
+        assert fired == ["new"]
+        assert sim.now == new
+        assert sim.events_fired == 1
+        assert sim._queue == []
+
+    def test_run_until_stops_between_entry_and_deadline(self):
+        """``run(until)`` between a re-armed timer's old entry and its
+        real deadline neither fires it nor stops the clock early."""
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule_timer(1_000, fired.append, "timer")
+        sim.rearm(timer, 9_000, fired.append, "timer")
+        assert sim.run(until=5_000) == 5_000
+        assert fired == [] and sim.events_fired == 0
+        assert timer.pending and sim.pending_events() == 1
+        assert self.times(sim, 9_000) == [9_000]
+        sim.run_until_idle()
+        assert fired == ["timer"] and sim.now == 9_000
+
+    def test_rearm_of_fired_or_cancelled_handle_arms_afresh(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule_timer(10, fired.append, 1)
+        sim.run_until_idle()
+        assert not timer.pending
+        sim.rearm(timer, 10, fired.append, 2)
+        assert timer.pending and sim.pending_events() == 1
+        timer.cancel()
+        assert sim.quiet_until(1 << 40)
+        sim.rearm(timer, 30, fired.append, 3)
+        assert self.times(sim, 1 << 40) == [40]
+        sim.run_until_idle()
+        assert fired == [1, 3]
+        assert sim.now == 40 and sim.pending_events() == 0
 
     def test_live_surface_exact_while_clock_advances(self):
-        """The engine may migrate wheel timers to the heap as the clock
-        advances; the combined ``live_events_until`` surface (what the
-        storm coalescer's quiet-window proofs read) must stay exact
-        through every stride."""
+        """The combined ``live_events_until`` surface (what the storm
+        coalescer's quiet-window proofs read) stays exact through every
+        stride of the clock, and through a re-arm."""
         sim = Simulator()
-        expiry = (LEVEL_SPAN + 10) * self.SLOT + 777
+        expiry = 266 * (1 << 16) + 777
         fired = []
         sim.schedule_timer(expiry, lambda: fired.append(sim.now))
-        stride = (LEVEL_SPAN - 1) * self.SLOT
+        stride = 255 * (1 << 16)
         now = 0
         while now + stride < expiry:
             now += stride
@@ -555,27 +630,28 @@ class TestTimerWheelBoundaries:
         sim.run_until_idle()
         assert fired == [expiry]
 
-    def test_cancelled_timer_invisible_after_cascade(self):
-        """A cancelled coarse timer is dropped by the cascade, not
-        re-filed; a live timer in a later coarse slot is untouched."""
+    def test_cancelled_timer_invisible(self):
+        """A cancelled timer is invisible to both probes, whether its
+        entry is current, left behind by a later re-arm, or doubled by
+        an earlier one; a live neighbour is untouched."""
         sim = Simulator()
-        expiry = (LEVEL_SPAN + 4) * self.SLOT
         fired = []
-        event = sim.schedule_timer(expiry, lambda: fired.append(True))
-        keep = 2 * expiry
-        sim.schedule_timer(keep, lambda: None)
-        event.cancel()
-        wheel = sim._wheel
-        assert wheel.earliest_until(expiry) is None
-        promoted = []
-        wheel.promote_until((LEVEL_SPAN + 8) * self.SLOT,
-                            promoted.append)
-        assert promoted == []
-        assert wheel.earliest_until(expiry) is None
-        assert wheel.events_until(expiry) == []
-        assert wheel.earliest_until(keep) == keep
+        plain = sim.schedule_timer(1_000, fired.append, "plain")
+        later = sim.schedule_timer(1_000, fired.append, "later")
+        sim.rearm(later, 3_000, fired.append, "later")
+        earlier = sim.schedule_timer(5_000, fired.append, "earlier")
+        sim.rearm(earlier, 2_000, fired.append, "earlier")
+        keep = sim.schedule_timer(4_000, fired.append, "keep")
+        for timer in (plain, later, earlier):
+            timer.cancel()
+            assert not timer.pending
+        assert self.times(sim, 1 << 40) == [4_000]
+        assert sim.quiet_until(3_999)
+        assert not sim.quiet_until(4_000)
+        assert keep.pending and sim.pending_events() == 1
         sim.run_until_idle()
-        assert fired == []
+        assert fired == ["keep"]
+        assert sim.events_fired == 1
 
 
 class TestJitterStreamIdentity:

@@ -13,6 +13,7 @@ probes and the tx-ring replay the closed forms are built on.
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -395,45 +396,74 @@ class TestEngineProbes:
 
     def test_quiet_until_skips_cancelled(self):
         sim = Simulator()
-        wheeled = sim.schedule_timer(100, lambda: None)
-        wheeled.cancel()
+        cancelled = sim.schedule_timer(100, lambda: None)
+        cancelled.cancel()
         assert sim.quiet_until(1000)
-        # A timer promoted into the heap, then cancelled: its dead entry
-        # is popped in passing.
+        # A timer cancelled once the clock has moved: its dead entry is
+        # popped in passing.
         sim.call_soon(lambda: None)
-        promoted = sim.schedule_timer(100, lambda: None)
+        doomed = sim.schedule_timer(100, lambda: None)
         assert sim.step()
-        assert any(entry[3] is promoted for entry in sim._queue)
-        promoted.cancel()
+        assert any(entry[3] is doomed for entry in sim._queue)
+        doomed.cancel()
         assert sim.quiet_until(1000)
         assert sim._queue == []
 
     def test_live_events_until_heap_and_wheel(self):
+        """Plain entries and timers come back together, in firing
+        ``(time, seq)`` order whatever the heap's layout, with timers at
+        their real (re-armed) deadline."""
         sim = Simulator()
 
         def near_fn():
             pass
 
         sim.schedule(100, near_fn)  # plain heap entry, seq 1
-        far = sim.schedule_timer(500_000, lambda: None)  # wheel-resident
+        far = sim.schedule_timer(500_000, lambda: None)
         beyond = sim.schedule_timer(5_000_000, lambda: None)
         found = sim.live_events_until(1_000_000)
-        plain = [(e.time, e.seq, e.fn) for e in found if e is not far]
-        assert plain == [(100, 1, near_fn)]
-        assert any(e is far for e in found)
+        assert [(e.time, e.seq) for e in found] == [(100, 1), (500_000, 2)]
+        assert found[0].fn is near_fn and found[1] is far
         assert not any(e is beyond for e in found)
+        sim.rearm(far, 100, far.fn)  # earlier, a later seq: after near_fn
+        sim.rearm(beyond, 200, beyond.fn)
+        assert sim.live_events_until(1_000_000)[1:] == [far, beyond]
         far.cancel()
         found = sim.live_events_until(1_000_000)
-        assert [(e.time, e.seq, e.fn) for e in found] == [(100, 1, near_fn)]
+        assert [(e.time, e.seq, e.fn) for e in found][:1] == \
+            [(100, 1, near_fn)]
+        assert found[1:] == [beyond]
 
-    def test_wheel_earliest_until_is_exact(self):
+    def test_probes_report_exact_earliest(self):
         sim = Simulator()
         sim.schedule_timer(400_000, lambda: None)
         sim.schedule_timer(700_000, lambda: None)
-        wheel = sim._wheel
-        assert wheel.earliest_until(300_000) is None
-        assert wheel.earliest_until(400_000) == 400_000
-        assert wheel.earliest_until(1_000_000) == 400_000
+        assert sim.quiet_until(399_999)
+        assert sim.live_events_until(399_999) == []
+        assert not sim.quiet_until(400_000)
+        assert [e.time for e in sim.live_events_until(400_000)] == [400_000]
+        assert [e.time for e in sim.live_events_until(1_000_000)] == \
+            [400_000, 700_000]
+
+    def test_live_events_until_order_is_firing_order(self):
+        """Over a heap shuffled by re-arms and cancels, the probe lists
+        exactly the live events due by ``limit``, in the order they
+        fire."""
+        sim = Simulator()
+        rng = random.Random(7)
+        fired = []
+        timers = [sim.schedule_timer(rng.randrange(1, 10_000), fired.append,
+                                     tag) for tag in range(200)]
+        for tag in range(200, 600):
+            timer = timers[rng.randrange(len(timers))]
+            if rng.random() < 0.2:
+                timer.cancel()
+            else:
+                sim.rearm(timer, rng.randrange(1, 10_000), fired.append, tag)
+            sim.schedule(rng.randrange(1, 10_000), fired.append, -tag)
+        due = [event.args[0] for event in sim.live_events_until(5_000)]
+        sim.run(until=5_000)
+        assert due == fired
 
     def test_status_engine_next_transition(self):
         cluster = build_pair()

@@ -182,6 +182,28 @@ class TestErrors:
         wc, = client.cq.poll(10)
         assert wc.status is WcStatus.REM_ACCESS_ERR
 
+    @pytest.mark.parametrize("access, offset, status", [
+        (Access.all(), -8, WcStatus.SUCCESS),
+        (Access.all(), -7, WcStatus.REM_ACCESS_ERR),  # one byte past
+        (Access.LOCAL_WRITE | Access.REMOTE_WRITE, 0,
+         WcStatus.REM_ACCESS_ERR),
+        (Access.REMOTE_READ, -8, WcStatus.SUCCESS),
+    ], ids=["last-word", "straddles-end", "no-remote-read", "read-only"])
+    def test_read_checks_span_and_access(self, access, offset, status):
+        """The responder admits a READ only inside the MR's span and
+        with ``REMOTE_READ`` among its registered access flags."""
+        cluster, client, server = make_connected_pair()
+        mr = server.pd.reg_mr(server.buf, access=access, odp=OdpMode.PINNED)
+        cluster.sim.run_until_idle()
+        start = server.buf.end + offset if offset < 0 else server.buf.base
+        client.qp.post_send(WorkRequest.read(
+            wr_id=1,
+            local=Sge(client.mr, client.buf.addr(0), 8),
+            remote=RemoteAddr(start, mr.rkey)))
+        cluster.sim.run_until_idle()
+        wc, = client.cq.poll(10)
+        assert wc.status is status
+
     def test_post_on_error_qp_rejected(self):
         cluster, client, server = make_connected_pair()
         client.qp.enter_error()
